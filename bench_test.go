@@ -13,7 +13,6 @@ package repro
 
 import (
 	"io"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -38,7 +37,7 @@ var (
 func benchSuite(b *testing.B) *experiments.Suite {
 	b.Helper()
 	benchOnce.Do(func() {
-		s, err := experiments.NewSuite(benchScale, 1)
+		s, err := experiments.NewSuiteTier(nil, layout.TierStandard, benchScale, 1, 0)
 		if err != nil {
 			benchErr = err
 			return
@@ -99,7 +98,7 @@ func runQuality(b *testing.B, cfg attack.Config, layer int) {
 	chs := benchChallenges(b, layer)
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		res, err := attack.Run(cfg, chs)
+		res, err := attack.Run(cfg, attack.NewInstancesWorkers(chs, cfg.Workers))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,7 +123,7 @@ func benchWorkers(b *testing.B, workers int) {
 	cfg.Seed = 1
 	cfg.Workers = workers
 	for i := 0; i < b.N; i++ {
-		if _, err := attack.Run(cfg, chs); err != nil {
+		if _, err := attack.Run(cfg, attack.NewInstancesWorkers(chs, cfg.Workers)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,45 +185,9 @@ func BenchmarkAblationPruningOff(b *testing.B) {
 }
 
 // Ablation: balanced vs unbalanced negative sampling. The paper argues
-// balanced sampling is essential [4]; the unbalanced variant draws four
-// negatives per positive.
+// balanced sampling is essential [4]; the unbalanced variant, which needs
+// the engine's internal training and scoring stages, is
+// BenchmarkAblationUnbalanced in internal/attack.
 func BenchmarkAblationBalanced(b *testing.B) {
 	runQuality(b, attack.Imp11(), 6)
-}
-
-func BenchmarkAblationUnbalanced(b *testing.B) {
-	chs := benchChallenges(b, 6)
-	cfg := attack.Imp11()
-	cfg.Name = "Imp-11-unbalanced"
-	var acc float64
-	for i := 0; i < b.N; i++ {
-		insts := attack.NewInstances(chs)
-		acc = 0
-		for target := range insts {
-			var train []*attack.Instance
-			for j, inst := range insts {
-				if j != target {
-					train = append(train, inst)
-				}
-			}
-			rng := rand.New(rand.NewSource(int64(target)))
-			radius := attack.NeighborRadiusNorm(train, 0.90)
-			ds := attack.TrainingSet(cfg, train, radius, nil, rng)
-			// Oversample negatives 4:1 by re-adding three more negative
-			// draws per positive.
-			extra := attack.TrainingSet(cfg, train, radius, nil, rng)
-			for k := range extra.X {
-				if !extra.Y[k] {
-					ds.Add(extra.X[k], false)
-				}
-			}
-			ev, err := attack.ScoreWithTrainingSet(cfg, ds, insts[target], radius, rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			acc += ev.AccuracyAtK(10)
-		}
-		acc /= float64(len(insts))
-	}
-	b.ReportMetric(acc, "acc@10")
 }

@@ -33,6 +33,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/split"
 	"repro/internal/sweep"
 )
@@ -75,52 +76,20 @@ func prepare(fsName string, args []string, addFlags func(*flag.FlagSet)) *sessio
 	app := cli.New("splitattack", fs)
 	layer := fs.Int("layer", 8, "split (via) layer: 1..8; the paper studies 4, 6, 8")
 	design := fs.String("design", "sb1", "target design: sb1 sb5 sb10 sb12 sb18 (industrial tier: sbx1 sbx10 sbx12)")
-	config := fs.String("config", "Imp-11", "attack configuration: ML-9 Imp-9 Imp-7 Imp-11 (+Y suffix at layer 8), DL-MLP, DL-MLP-rank")
-	base := fs.String("base", "reptree", "bagging base classifier: reptree or randomtree")
-	learner := fs.String("learner", "",
-		"learner family override: bagging, mlp, or logistic (default: the config's own family)")
-	mlpHidden := fs.Int("mlp-hidden", 0, "mlp hidden width (0 = default 16; mlp family only)")
-	mlpEpochs := fs.Int("mlp-epochs", 0, "mlp training epochs (0 = default 30; mlp family only)")
-	mlpRate := fs.Float64("mlp-rate", 0, "mlp learning rate (0 = default 0.05; mlp family only)")
-	ranking := fs.Bool("ranking", false, "softmax-normalise each v-pin's candidate scores (list-wise ranking head)")
-	maxLoC := fs.Int("max-loc", 0,
-		"absolute cap on retained per-v-pin candidate lists (0 = fraction-only); bounds memory on industrial designs")
-	shard := fs.Int("shard-vpins", 0, "spatial-region size of the streamed scoring stage (0 = automatic)")
+	configSpec := configFlags(fs)
 	if addFlags != nil {
 		addFlags(fs)
 	}
 	o := app.Parse(args)
 
-	cfg, ok := attack.ConfigByName(*config)
-	if !ok {
-		cli.Usage("unknown config %q", *config)
-	}
-	if *base == "randomtree" {
-		cfg = attack.WithBase(cfg, ml.RandomTree, 0)
-	}
-	if *learner != "" {
-		cfg = attack.WithFamily(cfg, *learner)
-	}
-	if *mlpHidden != 0 {
-		cfg.MLPHidden = *mlpHidden
-	}
-	if *mlpEpochs != 0 {
-		cfg.MLPEpochs = *mlpEpochs
-	}
-	if *mlpRate != 0 {
-		cfg.MLPRate = *mlpRate
-	}
-	if *ranking {
-		cfg = attack.WithRanking(cfg)
-	}
-	if err := cfg.Validate(); err != nil {
+	cs := configSpec()
+	cfg, err := cs.Resolve()
+	if err != nil {
 		cli.Usage("%v", err)
 	}
 	cfg.Seed = app.Seed
 	cfg.Workers = app.Workers()
 	cfg.Obs = o
-	cfg.MaxLoCCount = *maxLoC
-	cfg.ShardVpins = *shard
 	// The artifact store makes repeated invocations warm when
 	// -model-cache-dir points at a persistent directory; a memory-only
 	// store is free for the single-target run.
@@ -148,7 +117,34 @@ func prepare(fsName string, args []string, addFlags func(*flag.FlagSet)) *sessio
 	// by the attack and proximity stages.
 	insts := attack.NewInstancesWorkers(chs, app.Workers())
 	return &session{app: app, o: o, cfg: cfg, insts: insts, target: target,
-		layer: *layer, design: *design, base: *base}
+		layer: *layer, design: *design, base: cs.Base}
+}
+
+// configFlags registers the attack-configuration flags on fs and returns a
+// function that, once fs is parsed, builds the serve.ConfigSpec they
+// describe: the -config preset plus every override flag. The command
+// resolves it through ConfigSpec.Resolve, the same resolver the job server
+// applies to submitted specs, so a flag set and the equivalent JSON config
+// always yield the same configuration.
+func configFlags(fs *flag.FlagSet) func() serve.ConfigSpec {
+	var cs serve.ConfigSpec
+	fs.StringVar(&cs.Preset, "config", "Imp-11", "attack configuration: ML-9 Imp-9 Imp-7 Imp-11 (+Y suffix at layer 8), DL-MLP, DL-MLP-rank")
+	fs.StringVar(&cs.Base, "base", "reptree", "bagging base classifier: reptree or randomtree")
+	fs.StringVar(&cs.Learner, "learner", "",
+		"learner family override: bagging, mlp, or logistic (default: the config's own family)")
+	fs.IntVar(&cs.MLPHidden, "mlp-hidden", 0, "mlp hidden width (0 = default 16; mlp family only)")
+	fs.IntVar(&cs.MLPEpochs, "mlp-epochs", 0, "mlp training epochs (0 = default 30; mlp family only)")
+	fs.Float64Var(&cs.MLPRate, "mlp-rate", 0, "mlp learning rate (0 = default 0.05; mlp family only)")
+	ranking := fs.Bool("ranking", false, "softmax-normalise each v-pin's candidate scores (list-wise ranking head)")
+	fs.IntVar(&cs.MaxLoCCount, "max-loc", 0,
+		"absolute cap on retained per-v-pin candidate lists (0 = fraction-only); bounds memory on industrial designs")
+	fs.IntVar(&cs.ShardVpins, "shard-vpins", 0, "spatial-region size of the streamed scoring stage (0 = automatic)")
+	return func() serve.ConfigSpec {
+		if *ranking {
+			cs.Ranking = ranking
+		}
+		return cs
+	}
 }
 
 // runTrain executes the train stage alone: it builds the leave-one-out spec
@@ -251,7 +247,7 @@ func runAttack(args []string) {
 	} else {
 		// Single-target entry point: only the held-out design's model is
 		// trained, instead of the full leave-one-out sweep over all designs.
-		ev, radiusNorm, err = attack.RunTargetInstances(cfg, s.insts, s.target)
+		ev, radiusNorm, err = attack.RunTarget(cfg, s.insts, s.target)
 	}
 	if err != nil {
 		cli.Fatal(err)
@@ -303,7 +299,7 @@ func runAttack(args []string) {
 
 	if *pa {
 		fmt.Println("\nProximity attack (validation-based PA-LoC fraction):")
-		out, err := attack.ProximityTargetInstances(cfg, s.insts, s.target, ev, radiusNorm)
+		out, err := attack.ProximityTarget(cfg, s.insts, s.target, ev, radiusNorm)
 		if err != nil {
 			cli.Fatal(err)
 		}

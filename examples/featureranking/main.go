@@ -20,6 +20,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/features"
 	"repro/internal/ml"
+	"repro/internal/pairs"
 )
 
 func main() {
@@ -32,8 +33,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		insts := attack.NewInstances(chs)
-		radius := attack.NeighborRadiusNorm(insts, 0.90)
+		insts := attack.NewInstancesWorkers(chs, 0)
+		radius := pairs.NeighborRadiusNorm(insts, 0.90)
 		rng := rand.New(rand.NewSource(int64(layer)))
 		ds := attack.TrainingSet(repro.Imp11(), insts, radius, nil, rng)
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/pairs"
 )
 
 // TrainSpec returns the model spec the leave-one-out run for the held-out
@@ -20,17 +21,14 @@ func TrainSpec(cfg Config, insts []*Instance, target int) (model.Spec, float64, 
 // targetSpec validates the run request and builds the target's training
 // spec alongside the defaults-applied configuration.
 func targetSpec(cfg Config, insts []*Instance, target int) (Config, model.Spec, float64, error) {
-	cfg, err := prepareRun(cfg, insts)
+	cfg, err := prepareTarget(cfg, insts, target)
 	if err != nil {
 		return cfg, model.Spec{}, 0, err
-	}
-	if target < 0 || target >= len(insts) {
-		return cfg, model.Spec{}, 0, fmt.Errorf("attack: target %d out of range 0..%d", target, len(insts)-1)
 	}
 	trainInsts := others(insts, target)
 	radiusNorm := -1.0
 	if cfg.Neighborhood {
-		radiusNorm = NeighborRadiusNorm(trainInsts, cfg.NeighborQuantile)
+		radiusNorm = pairs.NeighborRadiusNorm(trainInsts, cfg.NeighborQuantile)
 	}
 	return cfg, cfg.trainSpec(trainInsts, target, radiusNorm, nil), radiusNorm, nil
 }
@@ -39,8 +37,8 @@ func targetSpec(cfg Config, insts []*Instance, target int) (Config, model.Spec, 
 // pre-trained artifact instead of training in-process. The artifact's spec
 // hash must match the spec this run would train — same designs,
 // configuration, seed, and fold — which pins the result to be bit-identical
-// to RunTargetInstances' evaluation (training durations aside, since no
-// training happens here).
+// to RunTarget's evaluation (training durations aside, since no training
+// happens here).
 func RunTargetArtifact(cfg Config, insts []*Instance, target int, art *model.Artifact) (*Evaluation, float64, error) {
 	cfg, spec, radiusNorm, err := targetSpec(cfg, insts, target)
 	if err != nil {
@@ -51,17 +49,7 @@ func RunTargetArtifact(cfg Config, insts []*Instance, target int, art *model.Art
 			art.Meta.SpecHash, art.Meta.Config, art.Meta.Seed,
 			h, cfg.Name, insts[target].Ch.Design.Name, cfg.Seed)
 	}
-	o := cfg.Obs
-	sp := o.Begin("target", obs.F("design", insts[target].Ch.Design.Name),
+	sp := cfg.Obs.Begin("target", obs.F("design", insts[target].Ch.Design.Name),
 		obs.F("artifact", art.Meta.SpecHash))
-	scsp := sp.Begin("scoring")
-	ev := scoreTarget(art.Scorer(), insts[target], cfg, radiusNorm)
-	scsp.SetAttr("pairs", ev.PairsScored)
-	scsp.End()
-	sp.SetAttr("test_ns", int64(ev.TestDur))
-	sp.SetAttr("vpins", ev.N)
-	sp.End()
-	o.Metrics().Counter("attack.targets").Inc()
-	o.Metrics().Counter("attack.pairs.scored").Add(ev.PairsScored)
-	return ev, radiusNorm, nil
+	return scoreInSpan(cfg, art, insts[target], radiusNorm, sp), radiusNorm, nil
 }

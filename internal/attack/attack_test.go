@@ -8,6 +8,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/ml"
 	"repro/internal/model"
+	"repro/internal/pairs"
 	"repro/internal/split"
 )
 
@@ -59,7 +60,7 @@ func run(t *testing.T, cfg Config, layer int) *Result {
 	if r, ok := resCache[key]; ok {
 		return r
 	}
-	r, err := Run(cfg, challenges(t, layer))
+	r, err := Run(cfg, prep(challenges(t, layer)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,19 +114,19 @@ func TestStandardConfigNames(t *testing.T) {
 
 func TestRunRejectsBadInput(t *testing.T) {
 	chs := challenges(t, 8)
-	if _, err := Run(ML9(), chs[:1]); err == nil {
+	if _, err := Run(ML9(), prep(chs[:1])); err == nil {
 		t.Error("single design accepted")
 	}
 	mixed := []*split.Challenge{chs[0], challenges(t, 6)[1]}
-	if _, err := Run(ML9(), mixed); err == nil {
+	if _, err := Run(ML9(), prep(mixed)); err == nil {
 		t.Error("mixed split layers accepted")
 	}
 	bad := ML9()
 	bad.Features = []int{99}
-	if _, err := Run(bad, chs); err == nil {
+	if _, err := Run(bad, prep(chs)); err == nil {
 		t.Error("bad feature index accepted")
 	}
-	if _, err := Run(Config{}, chs); err == nil {
+	if _, err := Run(Config{}, prep(chs)); err == nil {
 		t.Error("unnamed config accepted")
 	}
 }
@@ -348,11 +349,11 @@ func TestRunDeterministicWithSeed(t *testing.T) {
 	chs := challenges(t, 8)
 	cfg := Imp9()
 	cfg.Seed = 99
-	a, err := Run(cfg, chs)
+	a, err := Run(cfg, prep(chs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, chs)
+	b, err := Run(cfg, prep(chs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,10 +368,10 @@ func TestRunDeterministicWithSeed(t *testing.T) {
 
 func TestTrainingSetProperties(t *testing.T) {
 	chs := challenges(t, 6)
-	insts := NewInstances(chs[:4])
+	insts := prep(chs[:4])
 	rng := rand.New(rand.NewSource(3))
 	cfg := Imp9().withDefaults()
-	radius := NeighborRadiusNorm(insts, cfg.NeighborQuantile)
+	radius := pairs.NeighborRadiusNorm(insts, cfg.NeighborQuantile)
 	ds := TrainingSet(cfg, insts, radius, nil, rng)
 	if err := ds.Validate(); err != nil {
 		t.Fatal(err)
@@ -388,7 +389,7 @@ func TestTrainingSetProperties(t *testing.T) {
 
 func TestTrainingSetCap(t *testing.T) {
 	chs := challenges(t, 6)
-	insts := NewInstances(chs[:2])
+	insts := prep(chs[:2])
 	rng := rand.New(rand.NewSource(4))
 	cfg := ML9().withDefaults()
 	cfg.TrainCap = 100
@@ -400,10 +401,10 @@ func TestTrainingSetCap(t *testing.T) {
 
 func TestNeighborRadiusNorm(t *testing.T) {
 	chs := challenges(t, 6)
-	insts := NewInstances(chs)
-	r90 := NeighborRadiusNorm(insts, 0.90)
-	r100 := NeighborRadiusNorm(insts, 1.0)
-	r50 := NeighborRadiusNorm(insts, 0.50)
+	insts := prep(chs)
+	r90 := pairs.NeighborRadiusNorm(insts, 0.90)
+	r100 := pairs.NeighborRadiusNorm(insts, 1.0)
+	r50 := pairs.NeighborRadiusNorm(insts, 0.50)
 	if !(r50 <= r90 && r90 <= r100) {
 		t.Errorf("radius quantiles not monotone: %f/%f/%f", r50, r90, r100)
 	}
@@ -439,12 +440,12 @@ func TestLogisticFamilyDrivesAttack(t *testing.T) {
 
 func TestScoreSubset(t *testing.T) {
 	chs := challenges(t, 8)
-	insts := NewInstances(chs)
+	insts := prep(chs)
 	rng := rand.New(rand.NewSource(5))
 	cfg := Imp9().withDefaults()
-	radius := NeighborRadiusNorm(others(insts, 0), cfg.NeighborQuantile)
+	radius := pairs.NeighborRadiusNorm(others(insts, 0), cfg.NeighborQuantile)
 	ds := TrainingSet(cfg, others(insts, 0), radius, nil, rng)
-	model, err := trainModel(cfg, ds, rng)
+	model, err := trainModelUnit(cfg, ds, unitPAModel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,3 +466,6 @@ func TestScoreSubset(t *testing.T) {
 		t.Errorf("%d v-pins scored, want %d", scored, len(subset))
 	}
 }
+
+// prep prepares challenges as attack instances.
+func prep(chs []*split.Challenge) []*Instance { return NewInstancesWorkers(chs, 0) }

@@ -33,7 +33,7 @@ func TestBatchScoringMatchesScalar(t *testing.T) {
 		scalar.Seed = 11
 		scalar.Workers = 1
 		scalar.ScalarScoring = true
-		want, err := Run(scalar, challenges(t, tc.layer))
+		want, err := Run(scalar, prep(challenges(t, tc.layer)))
 		if err != nil {
 			t.Fatalf("%s scalar: %v", tc.cfg.Name, err)
 		}
@@ -46,7 +46,7 @@ func TestBatchScoringMatchesScalar(t *testing.T) {
 			batch := tc.cfg
 			batch.Seed = 11
 			batch.Workers = w
-			got, err := Run(batch, challenges(t, tc.layer))
+			got, err := Run(batch, prep(challenges(t, tc.layer)))
 			if err != nil {
 				t.Fatalf("%s batch workers=%d: %v", tc.cfg.Name, w, err)
 			}
@@ -84,17 +84,17 @@ func TestBatchProximityMatchesScalar(t *testing.T) {
 	cfg := Imp9()
 	cfg.Seed = 42
 	cfg.Workers = 1
-	prior, err := Run(cfg, chs)
+	prior, err := Run(cfg, prep(chs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := RunProximityOn(cfg, chs, prior)
+	batch, err := RunProximity(cfg, prep(chs), prior)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := cfg
 	sc.ScalarScoring = true
-	scalar, err := RunProximityOn(sc, chs, prior)
+	scalar, err := RunProximity(sc, prep(chs), prior)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestScalarFamilyFallsBackToScalar(t *testing.T) {
 	cfg := WithFamily(Imp9(), model.FamilyLogistic)
 	cfg.Name = "Imp-9-logistic-fallback"
 	cfg.Seed = 8
-	ev, _, err := RunTarget(cfg, chs, 0)
+	ev, _, err := RunTarget(cfg, prep(chs), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestMLPFamilyUsesBatchPath(t *testing.T) {
 	cfg := DLMLP()
 	cfg.Seed = 8
 	cfg.MLPEpochs = 3
-	ev, _, err := RunTarget(cfg, chs, 0)
+	ev, _, err := RunTarget(cfg, prep(chs), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestBatchDefaultPathIsUsed(t *testing.T) {
 	chs := challenges(t, 8)
 	cfg := ML9()
 	cfg.Seed = 8
-	ev, _, err := RunTarget(cfg, chs, 0)
+	ev, _, err := RunTarget(cfg, prep(chs), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,12 +167,12 @@ func TestBatchDefaultPathIsUsed(t *testing.T) {
 // property of the scoring inner loop: once a worker's buffers have grown to
 // the largest candidate set seen, gather+score must not allocate.
 func TestBatchGatherScoreAllocFree(t *testing.T) {
-	insts := NewInstances(challenges(t, 6))
+	insts := prep(challenges(t, 6))
 	for _, base := range []Config{Imp11(), WithTwoLevel(Imp11())} {
 		cfg := base.withDefaults()
 		cfg.Seed = 3
 		train := others(insts, 0)
-		radius := NeighborRadiusNorm(train, cfg.NeighborQuantile)
+		radius := pairs.NeighborRadiusNorm(train, cfg.NeighborQuantile)
 		art, _, err := model.Train(cfg.trainSpec(train, 0, radius, nil))
 		if err != nil {
 			t.Fatal(err)
@@ -183,7 +183,7 @@ func TestBatchGatherScoreAllocFree(t *testing.T) {
 			t.Fatalf("%s: trained model is not batchable", cfg.Name)
 		}
 		inst := insts[0]
-		filter := newPairFilter(inst, cfg, radius)
+		filter := cfg.TrainOptions().Filter(inst, radius)
 		var g pairs.Gatherer
 		warm := inst.N()
 		if warm > 64 {

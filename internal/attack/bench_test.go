@@ -11,21 +11,26 @@ package attack
 // candidate counts, pairs/s does not.
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/layout"
 	"repro/internal/model"
+	"repro/internal/pairs"
+	"repro/internal/rng"
+	"repro/internal/split"
 )
 
 // benchAttackModel trains cfg's model for target 0 of the fixture at the
 // layer, exactly as runTarget would: same derived streams, same optional
 // level-2 stage, same compiled arenas.
-func benchAttackModel(b *testing.B, cfg Config, layer int) (Scorer, *Instance, float64) {
+func benchAttackModel(b *testing.B, cfg Config, layer int) (pairs.Scorer, *Instance, float64) {
 	b.Helper()
-	insts := NewInstances(challenges(b, layer))
+	insts := prep(challenges(b, layer))
 	train := others(insts, 0)
 	radius := -1.0
 	if cfg.Neighborhood {
-		radius = NeighborRadiusNorm(train, cfg.NeighborQuantile)
+		radius = pairs.NeighborRadiusNorm(train, cfg.NeighborQuantile)
 	}
 	art, _, err := model.Train(cfg.trainSpec(train, 0, radius, nil))
 	if err != nil {
@@ -58,4 +63,71 @@ func BenchmarkScoreTargetTwoLevelScalar(b *testing.B) {
 }
 func BenchmarkScoreTargetTwoLevelBatch(b *testing.B) {
 	benchScoreTarget(b, WithTwoLevel(Imp11()), false)
+}
+
+// ablationOnce holds the suite of the repository-level ablation benchmarks
+// (scale 0.25, seed 1, split layer 6), so BenchmarkAblationUnbalanced here
+// compares directly against BenchmarkAblationBalanced there.
+var (
+	ablationOnce  sync.Once
+	ablationErr   error
+	ablationInsts []*Instance
+)
+
+func ablationInstances(b *testing.B) []*Instance {
+	b.Helper()
+	ablationOnce.Do(func() {
+		designs, err := layout.GenerateSuite(layout.SuiteConfig{Scale: 0.25, Seed: 1})
+		if err != nil {
+			ablationErr = err
+			return
+		}
+		chs := make([]*split.Challenge, len(designs))
+		for i, d := range designs {
+			if chs[i], err = split.NewChallenge(d, 6); err != nil {
+				ablationErr = err
+				return
+			}
+		}
+		ablationInsts = prep(chs)
+	})
+	if ablationErr != nil {
+		b.Fatal(ablationErr)
+	}
+	return ablationInsts
+}
+
+// BenchmarkAblationUnbalanced is the unbalanced side of the negative
+// sampling ablation: every fold's balanced training set — the exact set Run
+// trains on, from the fold's sampling stream — gets one more sampling
+// pass's negatives added, for two negatives per positive, and the model
+// trains on the fold's level-1 streams. Only the class balance differs from
+// the balanced leave-one-out run.
+func BenchmarkAblationUnbalanced(b *testing.B) {
+	insts := ablationInstances(b)
+	cfg := Imp11().withDefaults()
+	cfg.Name = "Imp-11-unbalanced"
+	var acc float64
+	for i := 0; i < b.N; i++ {
+		acc = 0
+		for target := range insts {
+			train := others(insts, target)
+			radius := pairs.NeighborRadiusNorm(train, cfg.NeighborQuantile)
+			r := rng.Derive(cfg.Seed, model.UnitSampling, int64(target))
+			ds := TrainingSet(cfg, train, radius, nil, r)
+			extra := TrainingSet(cfg, train, radius, nil, r)
+			for k := range extra.X {
+				if !extra.Y[k] {
+					ds.Add(extra.X[k], false)
+				}
+			}
+			sc, err := trainModelUnit(cfg, ds, model.UnitLevel1, target)
+			if err != nil {
+				b.Fatal(err)
+			}
+			acc += scoreTarget(sc, insts[target], cfg, radius).AccuracyAtK(10)
+		}
+		acc /= float64(len(insts))
+	}
+	b.ReportMetric(acc, "acc@10")
 }

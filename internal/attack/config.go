@@ -10,7 +10,6 @@ package attack
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/features"
 	"repro/internal/ml"
@@ -119,23 +118,6 @@ type Config struct {
 	Models *model.Store
 }
 
-// Scorer is the classifier interface the attack engine consumes: a
-// probability that a feature vector describes a truly matching v-pin pair.
-// It is the pairs package's Scorer — the attack engine scores candidates
-// exclusively through the shared pair pipeline (see internal/pairs).
-type Scorer = pairs.Scorer
-
-// BatchScorer is a Scorer that can score a whole row-major feature matrix
-// in one call; see pairs.BatchScorer for the contract. The engine scores
-// each v-pin's gathered candidates through this fast path; scalar-only
-// families fall back to per-pair Prob calls over the same gathered arena.
-type BatchScorer = pairs.BatchScorer
-
-var (
-	_ BatchScorer = (*ml.Ensemble)(nil)
-	_ BatchScorer = (*ml.MLP)(nil)
-)
-
 // TrainOptions projects the configuration's training-relevant fields into
 // the model package's option struct — the one place training options live.
 // The learner family travels by name; the model package resolves it through
@@ -185,23 +167,6 @@ func (c Config) withDefaults() Config {
 	c.MLPEpochs = to.MLPEpochs
 	c.MLPRate = to.MLPRate
 	return c
-}
-
-// workerCount resolves the configured worker bound for a pool processing n
-// units: Workers when positive (GOMAXPROCS otherwise), capped at n so no
-// goroutine starts idle.
-func (c Config) workerCount(n int) int {
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Validate rejects inconsistent configurations.

@@ -3,7 +3,6 @@ package attack
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/ml"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/pairs"
 	"repro/internal/rng"
 )
@@ -68,7 +66,7 @@ func sameEval(t *testing.T, label string, a, b *Evaluation) {
 // TestRunDeterministicAcrossWorkers is the tentpole guarantee: Run's output
 // is byte-identical for every worker count, and equals RunTarget per index.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	chs := challenges(t, 8)
+	insts := prep(challenges(t, 8))
 	cfg := Imp9()
 	cfg.Seed = 42
 
@@ -77,7 +75,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	for i, w := range workerCounts {
 		c := cfg
 		c.Workers = w
-		r, err := Run(c, chs)
+		r, err := Run(c, insts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -88,8 +86,8 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 			results[0], results[i])
 	}
 
-	for target := range chs {
-		ev, radius, err := RunTarget(cfg, chs, target)
+	for target := range insts {
+		ev, radius, err := RunTarget(cfg, insts, target)
 		if err != nil {
 			t.Fatalf("RunTarget(%d): %v", target, err)
 		}
@@ -109,13 +107,13 @@ func TestTwoLevelDeterministicAcrossWorkers(t *testing.T) {
 
 	serial := cfg
 	serial.Workers = 1
-	a, err := Run(serial, chs)
+	a, err := Run(serial, prep(chs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel := cfg
 	parallel.Workers = runtime.GOMAXPROCS(0)
-	b, err := Run(parallel, chs)
+	b, err := Run(parallel, prep(chs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +122,13 @@ func TestTwoLevelDeterministicAcrossWorkers(t *testing.T) {
 
 // TestProximityDeterministicAcrossWorkers checks the PA pipeline: outcomes
 // are identical at any worker count and whether candidates are reused from
-// a prior run (RunProximityOn) or computed per target (ProximityTarget).
+// a prior run (RunProximity) or computed per target (ProximityTarget).
 func TestProximityDeterministicAcrossWorkers(t *testing.T) {
-	chs := challenges(t, 8)
+	insts := prep(challenges(t, 8))
 	cfg := Imp9()
 	cfg.Seed = 42
 	cfg.Workers = runtime.GOMAXPROCS(0)
-	prior, err := Run(cfg, chs)
+	prior, err := Run(cfg, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +137,7 @@ func TestProximityDeterministicAcrossWorkers(t *testing.T) {
 	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 		c := cfg
 		c.Workers = w
-		outs, err := RunProximityOn(c, chs, prior)
+		outs, err := RunProximity(c, insts, prior)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -155,8 +153,8 @@ func TestProximityDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 
-	for target := range chs {
-		out, err := ProximityTarget(cfg, chs, target, prior.Evals[target], prior.RadiusNorm[target])
+	for target := range insts {
+		out, err := ProximityTarget(cfg, insts, target, prior.Evals[target], prior.RadiusNorm[target])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +180,7 @@ func TestRunCollectsPartialErrors(t *testing.T) {
 	const failTarget = 1
 	failFamilyDraw.Store(rng.Derive(cfg.Seed, model.UnitLevel1, failTarget).Int63())
 
-	res, err := Run(cfg, chs)
+	res, err := Run(cfg, prep(chs))
 	if err == nil {
 		t.Fatal("Run succeeded despite a failing target")
 	}
@@ -239,10 +237,6 @@ func (failFamily) Train(ctx model.TrainContext, ds *ml.Dataset) (pairs.Scorer, e
 	if ctx.Rng().Int63() == failFamilyDraw.Load() {
 		return nil, fmt.Errorf("injected failure")
 	}
-	return constScorer{}, nil
-}
-
-func (f failFamily) TrainSeq(o *obs.Context, opts model.TrainOptions, ds *ml.Dataset, r *rand.Rand) (pairs.Scorer, error) {
 	return constScorer{}, nil
 }
 

@@ -7,18 +7,6 @@ import (
 	"repro/internal/pairs"
 )
 
-// Candidate is one scored entry of a v-pin's candidate list; it is the
-// pairs package's Candidate — the candidate-list machinery (ordering,
-// bounded retention, LoC cap) lives there so the attack engine and the
-// model package's two-level stage share one implementation.
-type Candidate = pairs.Candidate
-
-// compareCandidates is the canonical candidate-list order; see
-// pairs.CompareCandidates.
-func compareCandidates(x, y Candidate) int {
-	return pairs.CompareCandidates(x, y)
-}
-
 // Evaluation holds the scored candidate lists of one (config, design,
 // split-layer) attack run. All LoC/accuracy metrics and the proximity
 // attack are computed from it without re-running inference, which is how
@@ -33,8 +21,11 @@ type Evaluation struct {
 	// Cands[a] lists the retained candidates of v-pin a, sorted by
 	// descending P. Lists are truncated to MaxLoCFrac*N entries (further
 	// capped by MaxLoCCount when the configuration sets it); metrics are
-	// exact for LoC sizes up to that bound.
-	Cands [][]Candidate
+	// exact for LoC sizes up to that bound. The candidate-list machinery
+	// (ordering, bounded retention, LoC cap) lives in the pairs package, so
+	// the attack engine and the model package's two-level stage share one
+	// implementation.
+	Cands [][]pairs.Candidate
 	// TruthP[a] is the scored probability of a's true match, or -1 when
 	// the pair was never scored (filtered out by neighborhood or Y rules
 	// — the saturation effect of Fig. 9).
@@ -83,7 +74,7 @@ type Phases struct {
 // scoreTarget evaluates all admitted candidate pairs of the target instance
 // with the model and assembles the Evaluation. Work is parallelised across
 // v-pins.
-func scoreTarget(model Scorer, inst *Instance, cfg Config, radiusNorm float64) *Evaluation {
+func scoreTarget(model pairs.Scorer, inst *Instance, cfg Config, radiusNorm float64) *Evaluation {
 	return scoreSubset(model, inst, cfg, radiusNorm, nil)
 }
 
@@ -103,10 +94,10 @@ func scoreTarget(model Scorer, inst *Instance, cfg Config, radiusNorm float64) *
 // any shard size; TruthP is filled from the Visit hook before retention,
 // so the true pair's probability survives even when the truth falls
 // outside the retained bound.
-func scoreSubset(model Scorer, inst *Instance, cfg Config, radiusNorm float64, subset []int) *Evaluation {
+func scoreSubset(model pairs.Scorer, inst *Instance, cfg Config, radiusNorm float64, subset []int) *Evaluation {
 	start := time.Now()
 	n := inst.N()
-	filter := newPairFilter(inst, cfg, radiusNorm)
+	filter := cfg.TrainOptions().Filter(inst, radiusNorm)
 
 	ev := &Evaluation{
 		ConfigName: cfg.Name,
@@ -122,10 +113,6 @@ func scoreSubset(model Scorer, inst *Instance, cfg Config, radiusNorm float64, s
 		ev.Truth[a] = int32(inst.Match(a))
 	}
 
-	total := n
-	if subset != nil {
-		total = len(subset)
-	}
 	backend := pairs.ResolveBackendObs(cfg.Obs, model, cfg.ScalarScoring)
 	if cfg.Ranking {
 		backend = pairs.Ranked(backend)
@@ -134,7 +121,7 @@ func scoreSubset(model Scorer, inst *Instance, cfg Config, radiusNorm float64, s
 		Targets:    subset,
 		Cap:        cfg.retainCap(n),
 		ShardVpins: cfg.ShardVpins,
-		Workers:    cfg.workerCount(total),
+		Workers:    cfg.Workers,
 		Stride:     features.Width(cfg.Features),
 		Visit: func(a int, g *pairs.Gatherer) {
 			m := inst.Match(a)

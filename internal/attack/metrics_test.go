@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/pairs"
 )
 
 // randomEval builds a random but internally consistent Evaluation: each
@@ -12,7 +14,7 @@ import (
 func randomEval(rng *rand.Rand, n int) *Evaluation {
 	ev := &Evaluation{
 		N:      n,
-		Cands:  make([][]Candidate, n),
+		Cands:  make([][]pairs.Candidate, n),
 		TruthP: make([]float32, n),
 		Truth:  make([]int32, n),
 	}
@@ -20,7 +22,7 @@ func randomEval(rng *rand.Rand, n int) *Evaluation {
 		ev.Truth[a] = int32((a + 1) % n)
 		ev.TruthP[a] = -1
 		k := rng.Intn(n)
-		cands := make([]Candidate, 0, k)
+		cands := make([]pairs.Candidate, 0, k)
 		for j := 0; j < k; j++ {
 			other := int32(rng.Intn(n))
 			if int(other) == a {
@@ -29,12 +31,12 @@ func randomEval(rng *rand.Rand, n int) *Evaluation {
 			// Quantised probabilities create plenty of ties, stressing the
 			// tie-handling paths.
 			p := float32(rng.Intn(8)) / 8
-			cands = append(cands, Candidate{Other: other, P: p, D: float32(rng.Intn(1000))})
+			cands = append(cands, pairs.Candidate{Other: other, P: p, D: float32(rng.Intn(1000))})
 			if other == ev.Truth[a] && p > ev.TruthP[a] {
 				ev.TruthP[a] = p
 			}
 		}
-		slices.SortFunc(cands, compareCandidates)
+		slices.SortFunc(cands, pairs.CompareCandidates)
 		ev.Cands[a] = cands
 	}
 	return ev

@@ -11,11 +11,11 @@ import (
 // leave-one-out run: per-target randomness depends only on the seed and the
 // target index, so RunTarget must reproduce Run's evaluation exactly.
 func TestRunTargetMatchesRun(t *testing.T) {
-	chs := challenges(t, 8)
+	insts := prep(challenges(t, 8))
 	cfg := Imp9()
 	full := run(t, cfg, 8)
-	for target := range chs {
-		ev, radius, err := RunTarget(cfg, chs, target)
+	for target := range insts {
+		ev, radius, err := RunTarget(cfg, insts, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,10 +50,10 @@ func TestRunTargetMatchesRun(t *testing.T) {
 
 func TestRunTargetRejectsBadTarget(t *testing.T) {
 	chs := challenges(t, 8)
-	if _, _, err := RunTarget(Imp9(), chs, -1); err == nil {
+	if _, _, err := RunTarget(Imp9(), prep(chs), -1); err == nil {
 		t.Error("negative target accepted")
 	}
-	if _, _, err := RunTarget(Imp9(), chs, len(chs)); err == nil {
+	if _, _, err := RunTarget(Imp9(), prep(chs), len(chs)); err == nil {
 		t.Error("out-of-range target accepted")
 	}
 }
@@ -103,7 +103,7 @@ func TestReportAgreesWithEvaluation(t *testing.T) {
 	o := obs.New(obs.Options{Command: "test"})
 	cfg := Imp9()
 	cfg.Obs = o
-	ev, _, err := RunTarget(cfg, chs, 1)
+	ev, _, err := RunTarget(cfg, prep(chs), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestRunReportPerTarget(t *testing.T) {
 	o := obs.New(obs.Options{Command: "test"})
 	cfg := Imp11()
 	cfg.Obs = o
-	res, err := Run(cfg, chs)
+	res, err := Run(cfg, prep(chs))
 	if err != nil {
 		t.Fatal(err)
 	}

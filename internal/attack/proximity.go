@@ -4,13 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/rng"
-	"repro/internal/split"
 )
 
 // DefaultPAFractions is the PA-LoC fraction grid searched during the
@@ -121,32 +119,19 @@ type PAOutcome struct {
 }
 
 // RunProximity executes the validation-based proximity attack for every
-// design under leave-one-out cross-validation: for each target, the PA-LoC
-// fraction is chosen by an 80/20 v-pin split of the training designs
-// (§III-H) and then applied to the target's scored candidates.
-func RunProximity(cfg Config, chs []*split.Challenge) ([]PAOutcome, error) {
-	return RunProximityOn(cfg, chs, nil)
-}
-
-// RunProximityOn is RunProximity reusing an existing attack run's scored
-// candidates (prior must come from Run with the same configuration and
-// challenges); with a nil prior the evaluations are computed here. Only the
-// validation stage is executed either way, and the PA outcome of a target
-// is identical whether its evaluation was reused or recomputed: all PA
-// randomness comes from the stream (cfg.Seed, unitPA, target), independent
-// of the attack-run streams.
+// design under leave-one-out cross-validation, on the scored candidates of
+// an existing attack run: prior must come from Run with the same
+// configuration and instances. For each target, the PA-LoC fraction is
+// chosen by an 80/20 v-pin split of the training designs (§III-H) and then
+// applied to the target's scored candidates; only this validation stage is
+// new work. All PA randomness comes from the stream (cfg.Seed, unitPA,
+// target), independent of the attack-run streams.
 //
 // Targets run concurrently on cfg.Workers goroutines (0 = GOMAXPROCS) with
 // bit-identical outcomes at any worker count. A failing target does not
 // abort its siblings; failed entries are zero-valued in the returned slice
 // and their errors are joined.
-func RunProximityOn(cfg Config, chs []*split.Challenge, prior *Result) ([]PAOutcome, error) {
-	return RunProximityOnInstances(cfg, NewInstancesWorkers(chs, cfg.Workers), prior)
-}
-
-// RunProximityOnInstances is RunProximityOn on already-prepared instances,
-// sharing the extractor/index construction cost with a prior attack run.
-func RunProximityOnInstances(cfg Config, insts []*Instance, prior *Result) ([]PAOutcome, error) {
+func RunProximity(cfg Config, insts []*Instance, prior *Result) ([]PAOutcome, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -154,11 +139,11 @@ func RunProximityOnInstances(cfg Config, insts []*Instance, prior *Result) ([]PA
 	if len(insts) < 2 {
 		return nil, fmt.Errorf("attack: proximity attack needs at least 2 designs")
 	}
-	if prior != nil && len(prior.Evals) != len(insts) {
-		return nil, fmt.Errorf("attack: prior result covers %d designs, want %d", len(prior.Evals), len(insts))
+	if prior == nil || len(prior.Evals) != len(insts) {
+		return nil, fmt.Errorf("attack: proximity attack needs a prior result covering all %d designs", len(insts))
 	}
 	o := cfg.Obs
-	workers := cfg.workerCount(len(insts))
+	workers := par.Workers(cfg.Workers, len(insts))
 	root := o.Begin("attack.pa", obs.F("config", cfg.Name),
 		obs.F("designs", len(insts)), obs.F("workers", workers))
 	defer root.End()
@@ -167,48 +152,19 @@ func RunProximityOnInstances(cfg Config, insts []*Instance, prior *Result) ([]PA
 	defer prog.Finish()
 	outcomes := make([]PAOutcome, len(insts))
 	errs := make([]error, len(insts))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				target := int(next.Add(1)) - 1
-				if target >= len(insts) {
-					return
-				}
-				tsp := root.Begin("pa-target",
-					obs.F("design", insts[target].Ch.Design.Name), obs.F("worker", worker))
-				var ev *Evaluation
-				var radiusNorm float64
-				if prior != nil {
-					ev = prior.Evals[target]
-					radiusNorm = prior.RadiusNorm[target]
-				} else {
-					var err error
-					ev, radiusNorm, err = runTarget(cfg, insts, target, worker, tsp)
-					if err != nil {
-						errs[target] = err
-						tsp.End()
-						prog.Add(1)
-						continue
-					}
-				}
-				if ev == nil {
-					errs[target] = fmt.Errorf("attack: %s: target %s: prior result has no evaluation",
-						cfg.Name, insts[target].Ch.Design.Name)
-					tsp.End()
-					prog.Add(1)
-					continue
-				}
-				outcomes[target] = paTarget(cfg, insts, target, ev, radiusNorm, tsp)
-				tsp.End()
-				prog.Add(1)
-			}
-		}(w)
-	}
-	wg.Wait()
+	par.For(len(insts), workers, func(worker, target int) {
+		defer prog.Add(1)
+		ev := prior.Evals[target]
+		if ev == nil {
+			errs[target] = fmt.Errorf("attack: %s: target %s: prior result has no evaluation",
+				cfg.Name, insts[target].Ch.Design.Name)
+			return
+		}
+		tsp := root.Begin("pa-target",
+			obs.F("design", insts[target].Ch.Design.Name), obs.F("worker", worker))
+		outcomes[target] = paTarget(cfg, insts, target, ev, prior.RadiusNorm[target], tsp)
+		tsp.End()
+	})
 	if err := errors.Join(errs...); err != nil {
 		return outcomes, fmt.Errorf("attack: %s: proximity attack: %w", cfg.Name, err)
 	}
@@ -219,8 +175,7 @@ func RunProximityOnInstances(cfg Config, insts []*Instance, prior *Result) ([]PA
 // outcome from an already-scored evaluation. Every random draw — the 80/20
 // validation split, validation-model training, and tie-breaking — comes
 // from streams derived from (cfg.Seed, unitPA/unitPAModel, target), so the
-// outcome is the same from RunProximity, RunProximityOn, and
-// ProximityTarget alike.
+// outcome is the same from RunProximity and ProximityTarget alike.
 func paTarget(cfg Config, insts []*Instance, target int, ev *Evaluation,
 	radiusNorm float64, sp *obs.Span) PAOutcome {
 
@@ -246,17 +201,12 @@ func paTarget(cfg Config, insts []*Instance, target int, ev *Evaluation,
 
 // ProximityTarget runs the validation-based proximity attack for the single
 // design at index target, reusing its already-scored evaluation and
-// neighborhood radius from RunTarget (or from a full Run). Only the PA-LoC
-// validation stage is new work — the sibling targets' models are never
-// trained — and the outcome equals RunProximity's entry for the target:
-// PA randomness is derived from cfg.Seed and the target index alone.
-func ProximityTarget(cfg Config, chs []*split.Challenge, target int, ev *Evaluation, radiusNorm float64) (PAOutcome, error) {
-	return ProximityTargetInstances(cfg, NewInstancesWorkers(chs, cfg.Workers), target, ev, radiusNorm)
-}
-
-// ProximityTargetInstances is ProximityTarget on already-prepared
-// instances, typically the ones the evaluation was scored on.
-func ProximityTargetInstances(cfg Config, insts []*Instance, target int, ev *Evaluation, radiusNorm float64) (PAOutcome, error) {
+// neighborhood radius from RunTarget (or from a full Run) on the same
+// instances. Only the PA-LoC validation stage is new work — the sibling
+// targets' models are never trained — and the outcome equals
+// RunProximity's entry for the target: PA randomness is derived from
+// cfg.Seed and the target index alone.
+func ProximityTarget(cfg Config, insts []*Instance, target int, ev *Evaluation, radiusNorm float64) (PAOutcome, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return PAOutcome{}, err
@@ -270,8 +220,7 @@ func ProximityTargetInstances(cfg Config, insts []*Instance, target int, ev *Eva
 	if ev == nil {
 		return PAOutcome{}, fmt.Errorf("attack: proximity target needs a scored evaluation")
 	}
-	o := cfg.Obs
-	sp := o.Begin("attack.pa-target", obs.F("design", insts[target].Ch.Design.Name))
+	sp := cfg.Obs.Begin("attack.pa-target", obs.F("design", insts[target].Ch.Design.Name))
 	defer sp.End()
 	return paTarget(cfg, insts, target, ev, radiusNorm, sp), nil
 }
@@ -293,15 +242,11 @@ func (ev *Evaluation) fixedThresholdPA(rng *rand.Rand) float64 {
 		if k == 0 {
 			continue
 		}
-		if pick, ok := ev.proximityPickFixed(a, k, rng); ok && pick == ev.Truth[a] {
+		if pick, ok := ev.proximityPick(a, k, rng); ok && pick == ev.Truth[a] {
 			success++
 		}
 	}
 	return float64(success) / float64(ev.N)
-}
-
-func (ev *Evaluation) proximityPickFixed(a, k int, rng *rand.Rand) (int32, bool) {
-	return ev.proximityPick(a, k, rng)
 }
 
 // validatePAFraction selects the PA-LoC fraction: 80% of each training

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/pairs"
 	"repro/internal/split"
 )
 
@@ -17,7 +18,7 @@ func synthEval() *Evaluation {
 		N:          4,
 		Truth:      []int32{1, 0, 3, 2},
 		TruthP:     []float32{0.9, 0.9, 0.4, -1},
-		Cands: [][]Candidate{
+		Cands: [][]pairs.Candidate{
 			{{Other: 1, P: 0.9, D: 100}, {Other: 2, P: 0.8, D: 50}, {Other: 3, P: 0.1, D: 300}},
 			{{Other: 0, P: 0.9, D: 100}, {Other: 3, P: 0.2, D: 80}},
 			{{Other: 1, P: 0.7, D: 40}, {Other: 3, P: 0.4, D: 120}},
@@ -72,7 +73,7 @@ func TestSynthTieHandling(t *testing.T) {
 		N:      1,
 		Truth:  []int32{1},
 		TruthP: []float32{0.5},
-		Cands: [][]Candidate{
+		Cands: [][]pairs.Candidate{
 			{{Other: 1, P: 0.5, D: 10}, {Other: 2, P: 0.5, D: 20}, {Other: 3, P: 0.5, D: 30}},
 		},
 	}
@@ -108,7 +109,7 @@ func TestProximityPickDistanceTie(t *testing.T) {
 	ev := &Evaluation{
 		N:     1,
 		Truth: []int32{2},
-		Cands: [][]Candidate{
+		Cands: [][]pairs.Candidate{
 			{{Other: 1, P: 0.9, D: 10}, {Other: 2, P: 0.5, D: 10}},
 		},
 	}
@@ -125,7 +126,7 @@ func TestProximityPickFullTieIsRandom(t *testing.T) {
 	ev := &Evaluation{
 		N:     1,
 		Truth: []int32{2},
-		Cands: [][]Candidate{
+		Cands: [][]pairs.Candidate{
 			{{Other: 1, P: 0.5, D: 10}, {Other: 2, P: 0.5, D: 10}},
 		},
 	}
@@ -161,7 +162,7 @@ func TestProximitySuccessBounds(t *testing.T) {
 
 func TestRunProximityOutcomes(t *testing.T) {
 	chs := challenges(t, 8)
-	outcomes, err := RunProximity(Imp9(), chs)
+	outcomes, err := RunProximity(Imp9(), prep(chs), run(t, Imp9(), 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +185,11 @@ func TestRunProximityOutcomes(t *testing.T) {
 
 func TestRunProximityRejectsBadInput(t *testing.T) {
 	chs := challenges(t, 8)
-	if _, err := RunProximity(Imp9(), chs[:1]); err == nil {
+	if _, err := RunProximity(Imp9(), prep(chs[:1]), nil); err == nil {
 		t.Error("single design accepted")
+	}
+	if _, err := RunProximity(Imp9(), prep(chs), nil); err == nil {
+		t.Error("missing prior result accepted")
 	}
 }
 
@@ -201,7 +205,7 @@ func TestObfuscationNoiseHurtsAttack(t *testing.T) {
 	clean := run(t, Imp11(), 6)
 	cfg := Imp11()
 	cfg.Name = "Imp-11-noise"
-	noisy, err := Run(cfg, noised)
+	noisy, err := Run(cfg, prep(noised))
 	if err != nil {
 		t.Fatal(err)
 	}

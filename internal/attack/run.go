@@ -3,15 +3,13 @@ package attack
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ml"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/pairs"
+	"repro/internal/par"
 	"repro/internal/split"
 )
 
@@ -69,15 +67,9 @@ func (r *Result) meanDur(f func(*Evaluation) time.Duration) time.Duration {
 	return sum / time.Duration(n)
 }
 
-// NewInstances prepares challenges for attack runs, building the feature
-// extractors and spatial indexes of all designs in parallel (GOMAXPROCS
-// workers). Use NewInstancesWorkers to bound the fan-out explicitly.
-func NewInstances(chs []*split.Challenge) []*Instance {
-	return pairs.NewAll(chs, 0)
-}
-
-// NewInstancesWorkers is NewInstances bounded to the given worker count
-// (<= 0 selects GOMAXPROCS). Instance construction is per-design
+// NewInstancesWorkers prepares challenges for attack runs, building the
+// feature extractors and spatial indexes of all designs on up to workers
+// goroutines (<= 0 selects GOMAXPROCS). Instance construction is per-design
 // deterministic, so the result is identical at any worker count.
 func NewInstancesWorkers(chs []*split.Challenge, workers int) []*Instance {
 	return pairs.NewAll(chs, workers)
@@ -101,10 +93,25 @@ func prepareRun(cfg Config, insts []*Instance) (Config, error) {
 	return cfg, nil
 }
 
+// prepareTarget is prepareRun for a single held-out design at index target.
+func prepareTarget(cfg Config, insts []*Instance, target int) (Config, error) {
+	cfg, err := prepareRun(cfg, insts)
+	if err != nil {
+		return cfg, err
+	}
+	if target < 0 || target >= len(insts) {
+		return cfg, fmt.Errorf("attack: target %d out of range 0..%d", target, len(insts)-1)
+	}
+	return cfg, nil
+}
+
 // Run executes the full leave-one-out cross-validation attack of §III-C:
-// for every challenge, a model is trained on all other challenges and used
-// to score the held-out one. All challenges must be cuts at the same split
-// layer.
+// for every prepared instance (see NewInstancesWorkers), a model is trained
+// on all other instances and used to score the held-out one. All instances
+// must be cuts at the same split layer. Instances are read-only during the
+// run and may be shared between concurrent runs, so callers that run
+// several configurations over the same challenges pay the extractor/index
+// construction cost once.
 //
 // Targets run concurrently on cfg.Workers goroutines (0 = GOMAXPROCS).
 // Each target's randomness is an independent stream derived from cfg.Seed
@@ -115,21 +122,13 @@ func prepareRun(cfg Config, insts []*Instance) (Config, error) {
 // and, when some failed, returns the partial Result — nil Evals entries
 // and RadiusNorm -1 for the failures — together with the joined per-target
 // errors.
-func Run(cfg Config, chs []*split.Challenge) (*Result, error) {
-	return RunInstances(cfg, NewInstancesWorkers(chs, cfg.Workers))
-}
-
-// RunInstances is Run on already-prepared instances, letting callers that
-// run several configurations over the same challenges (experiment sweeps)
-// pay the extractor/index construction cost once. Instances are read-only
-// during the run and may be shared between concurrent runs.
-func RunInstances(cfg Config, insts []*Instance) (*Result, error) {
+func Run(cfg Config, insts []*Instance) (*Result, error) {
 	cfg, err := prepareRun(cfg, insts)
 	if err != nil {
 		return nil, err
 	}
 	o := cfg.Obs
-	workers := cfg.workerCount(len(insts))
+	workers := par.Workers(cfg.Workers, len(insts))
 	sp := o.Begin("attack.run", obs.F("config", cfg.Name),
 		obs.F("layer", insts[0].Ch.SplitLayer), obs.F("designs", len(insts)),
 		obs.F("workers", workers))
@@ -146,32 +145,18 @@ func RunInstances(cfg Config, insts []*Instance) (*Result, error) {
 		RadiusNorm: make([]float64, len(insts)),
 	}
 	errs := make([]error, len(insts))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			done := o.Metrics().Counter(fmt.Sprintf("attack.worker.%d.targets", worker))
-			for {
-				target := int(next.Add(1)) - 1
-				if target >= len(insts) {
-					return
-				}
-				res.RadiusNorm[target] = -1
-				ev, radius, err := runTarget(cfg, insts, target, worker, sp)
-				prog.Add(1)
-				if err != nil {
-					errs[target] = err
-					continue
-				}
-				res.Evals[target] = ev
-				res.RadiusNorm[target] = radius
-				done.Inc()
-			}
-		}(w)
-	}
-	wg.Wait()
+	par.For(len(insts), workers, func(worker, target int) {
+		res.RadiusNorm[target] = -1
+		ev, radius, err := runTarget(cfg, insts, target, worker, sp)
+		prog.Add(1)
+		if err != nil {
+			errs[target] = err
+			return
+		}
+		res.Evals[target] = ev
+		res.RadiusNorm[target] = radius
+		o.Metrics().Counter(fmt.Sprintf("attack.worker.%d.targets", worker)).Inc()
+	})
 	res.TotalDur = time.Since(start)
 	if err := errors.Join(errs...); err != nil {
 		failed := 0
@@ -186,41 +171,20 @@ func RunInstances(cfg Config, insts []*Instance) (*Result, error) {
 	return res, nil
 }
 
-// RunTarget runs the leave-one-out attack for the single held-out design at
-// index target: one model is trained on every other challenge and scores
-// only the target, skipping the len(chs)-1 sibling runs Run would perform.
-// It returns the target's evaluation and the neighborhood radius used (as a
-// fraction of die width; -1 without the Imp improvement). The evaluation is
-// identical to Run(cfg, chs).Evals[target] at any worker count: every
-// random stream the target consumes is derived from cfg.Seed, a stream
-// unit, and the target index alone (see internal/rng).
-func RunTarget(cfg Config, chs []*split.Challenge, target int) (*Evaluation, float64, error) {
-	return RunTargetInstances(cfg, NewInstancesWorkers(chs, cfg.Workers), target)
-}
-
-// RunTargetInstances is RunTarget on already-prepared instances.
-func RunTargetInstances(cfg Config, insts []*Instance, target int) (*Evaluation, float64, error) {
-	if cfg.Obs != nil && target >= 0 && target < len(insts) {
-		cfg.Obs.Log().Info("single-target attack: skipping sibling leave-one-out runs",
-			"config", cfg.Name, "target", insts[target].Ch.Design.Name, "targets_skipped", len(insts)-1)
-	}
-	return RunFoldInstances(cfg, insts, target)
-}
-
-// RunFoldInstances is the fold primitive of the sweep layer: it runs exactly
-// one leave-one-out fold — train on every instance except target, score
-// target — and returns the fold's evaluation and neighborhood radius. It is
-// RunTargetInstances without the single-target framing: bit-identical to
-// RunInstances(cfg, insts).Evals[target] at any worker count, which is what
-// lets a full leave-one-out run be decomposed into independently scheduled
-// (and independently checkpointed) fold units and recombined exactly.
-func RunFoldInstances(cfg Config, insts []*Instance, target int) (*Evaluation, float64, error) {
-	cfg, err := prepareRun(cfg, insts)
+// RunTarget runs exactly one leave-one-out fold — train on every instance
+// except target, score target — and returns the target's evaluation and the
+// neighborhood radius used (as a fraction of die width; -1 without the Imp
+// improvement). It skips the len(insts)-1 sibling runs Run would perform,
+// and is bit-identical to Run(cfg, insts).Evals[target] at any worker
+// count: every random stream the target consumes is derived from cfg.Seed,
+// a stream unit, and the target index alone (see internal/rng). That is
+// what lets a full leave-one-out run be decomposed into independently
+// scheduled (and independently checkpointed) fold units and recombined
+// exactly.
+func RunTarget(cfg Config, insts []*Instance, target int) (*Evaluation, float64, error) {
+	cfg, err := prepareTarget(cfg, insts, target)
 	if err != nil {
 		return nil, 0, err
-	}
-	if target < 0 || target >= len(insts) {
-		return nil, 0, fmt.Errorf("attack: target %d out of range 0..%d", target, len(insts)-1)
 	}
 	return runTarget(cfg, insts, target, 0, nil)
 }
@@ -236,28 +200,15 @@ func others(insts []*Instance, target int) []*Instance {
 	return out
 }
 
-// trainModel trains the configuration's classifier through its learner
-// family, consuming the single shared rng sequentially. It is the legacy
-// sequential path kept for ScoreWithTrainingSet, whose callers own their
-// rng; the engine itself trains through the model package (see model.Train).
-func trainModel(cfg Config, ds *ml.Dataset, r *rand.Rand) (Scorer, error) {
-	fam, err := model.FamilyByName(cfg.Family)
-	if err != nil {
-		return nil, err
-	}
-	return fam.TrainSeq(cfg.Obs, cfg.TrainOptions().WithDefaults(), ds, r)
-}
-
 // trainModelUnit trains the configuration's classifier from streams derived
 // from (cfg.Seed, unit, target): the family draws every random decision
 // through TrainContext.Rng — the Bagging ensemble trains tree t in parallel
 // on stream (cfg.Seed, unit, target, t) and compiles into its flat-arena
 // form (bit-identical Prob — the documented Ensemble contract), single-model
 // families consume the stream (cfg.Seed, unit, target) whole. The
-// leave-one-out train stage lives in the model package; this helper remains
-// for the proximity attack's validation-split models, which are trained on
-// PA stream units.
-func trainModelUnit(cfg Config, ds *ml.Dataset, unit int64, target int) (Scorer, error) {
+// leave-one-out train stage lives in the model package; this helper trains
+// the proximity attack's validation-split models on PA stream units.
+func trainModelUnit(cfg Config, ds *ml.Dataset, unit int64, target int) (pairs.Scorer, error) {
 	fam, err := model.FamilyByName(cfg.Family)
 	if err != nil {
 		return nil, err
@@ -281,13 +232,12 @@ func trainModelUnit(cfg Config, ds *ml.Dataset, unit int64, target int) (Scorer,
 // under parent when one is given (Run's root span), else at the context's
 // root (RunTarget).
 func runTarget(cfg Config, insts []*Instance, target, worker int, parent *obs.Span) (*Evaluation, float64, error) {
-	o := cfg.Obs
-	sp := o.BeginUnder(parent, "target",
+	sp := cfg.Obs.BeginUnder(parent, "target",
 		obs.F("design", insts[target].Ch.Design.Name), obs.F("worker", worker))
 	trainInsts := others(insts, target)
 	radiusNorm := -1.0
 	if cfg.Neighborhood {
-		radiusNorm = NeighborRadiusNorm(trainInsts, cfg.NeighborQuantile)
+		radiusNorm = pairs.NeighborRadiusNorm(trainInsts, cfg.NeighborQuantile)
 		sp.SetAttr("radius_norm", radiusNorm)
 	}
 
@@ -299,41 +249,35 @@ func runTarget(cfg Config, insts []*Instance, target, worker int, parent *obs.Sp
 		return nil, 0, fmt.Errorf("attack: %s: target %s: %w", cfg.Name, insts[target].Ch.Design.Name, err)
 	}
 	trainDur := time.Since(t0)
+	sp.SetAttr("train_ns", int64(trainDur))
 
+	ev := scoreInSpan(cfg, art, insts[target], radiusNorm, sp)
+	ev.TrainDur = trainDur
+	ev.Phases.Sampling = stats.Sampling
+	ev.Phases.Level1 = stats.Level1
+	ev.Phases.Level2 = stats.Level2
+	return ev, radiusNorm, nil
+}
+
+// scoreInSpan scores the target instance with a trained artifact under a
+// "scoring" span nested in the target's span sp, records the target's
+// scoring attributes and run counters, and ends sp. It is the one scoring
+// tail of in-process training (runTarget) and pre-trained artifacts
+// (RunTargetArtifact).
+func scoreInSpan(cfg Config, art *model.Artifact, target *Instance, radiusNorm float64, sp *obs.Span) *Evaluation {
 	scsp := sp.Begin("scoring")
-	ev := scoreTarget(art.Scorer(), insts[target], cfg, radiusNorm)
+	ev := scoreTarget(art.Scorer(), target, cfg, radiusNorm)
 	scsp.SetAttr("pairs", ev.PairsScored)
 	if ev.Batches > 0 {
 		scsp.SetAttr("batches", ev.Batches)
 		scsp.SetAttr("batch_rows", ev.BatchRows)
 	}
 	scsp.End()
-	ev.TrainDur = trainDur
-	ev.Phases.Sampling = stats.Sampling
-	ev.Phases.Level1 = stats.Level1
-	ev.Phases.Level2 = stats.Level2
-	sp.SetAttr("train_ns", int64(ev.TrainDur))
 	sp.SetAttr("test_ns", int64(ev.TestDur))
 	sp.SetAttr("vpins", ev.N)
 	sp.End()
-	o.Metrics().Counter("attack.targets").Inc()
-	o.Metrics().Counter("attack.pairs.scored").Add(ev.PairsScored)
-	return ev, radiusNorm, nil
-}
-
-// ScoreWithTrainingSet trains a model on a caller-provided training set and
-// scores the target instance with it. It exposes the engine's internals for
-// ablation studies (custom sampling schemes); normal attacks should use Run.
-// Training consumes the caller's rng sequentially (the caller controls
-// reproducibility); only candidate-pair scoring runs in parallel.
-func ScoreWithTrainingSet(cfg Config, ds *ml.Dataset, target *Instance, radiusNorm float64, r *rand.Rand) (*Evaluation, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	model, err := trainModel(cfg, ds, r)
-	if err != nil {
-		return nil, err
-	}
-	return scoreTarget(model, target, cfg, radiusNorm), nil
+	m := cfg.Obs.Metrics()
+	m.Counter("attack.targets").Inc()
+	m.Counter("attack.pairs.scored").Add(ev.PairsScored)
+	return ev
 }

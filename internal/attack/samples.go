@@ -6,31 +6,12 @@ import (
 	"repro/internal/ml"
 	"repro/internal/model"
 	"repro/internal/pairs"
-	"repro/internal/split"
 )
 
 // Instance is the per-(design, split layer) state of the pair pipeline;
 // see the pairs package, which owns it. The alias keeps the attack API
 // stable while every consumer shares one pipeline.
 type Instance = pairs.Instance
-
-// NewInstance prepares a challenge for training or testing.
-func NewInstance(ch *split.Challenge) *Instance { return pairs.New(ch) }
-
-// NeighborRadiusNorm pools the normalised matched-pair distances of the
-// given (training) instances and returns their q-quantile — the
-// neighborhood radius of the Imp configurations, as a fraction of die
-// width (paper §III-D, Fig. 4).
-func NeighborRadiusNorm(insts []*Instance, q float64) float64 {
-	return pairs.NeighborRadiusNorm(insts, q)
-}
-
-// newPairFilter builds the pair-admission filter of a configuration for
-// one instance: the neighborhood radius applies only under the Imp
-// improvement, the DiffVpinY limit only under the "Y" refinement.
-func newPairFilter(inst *Instance, cfg Config, radiusNorm float64) pairs.Filter {
-	return cfg.TrainOptions().Filter(inst, radiusNorm)
-}
 
 // TrainingSet generates the balanced sample set of §III-B from the given
 // training instances: one positive (true match) per v-pin plus one random

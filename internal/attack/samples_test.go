@@ -5,14 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/pairs"
 )
 
 func TestPairFilterRules(t *testing.T) {
 	chs := challenges(t, 6)
-	inst := NewInstance(chs[4])
+	inst := pairs.New(chs[4])
 
 	// No filters: everything legal and distinct is admitted.
-	open := newPairFilter(inst, ML9().withDefaults(), -1)
+	open := ML9().withDefaults().TrainOptions().Filter(inst, -1)
 	if open.Admits(0, 0) {
 		t.Error("self-pair admitted")
 	}
@@ -23,7 +24,7 @@ func TestPairFilterRules(t *testing.T) {
 
 	// Neighborhood: radius 0 rejects everything not co-located.
 	cfg := Imp9().withDefaults()
-	tight := newPairFilter(inst, cfg, 0)
+	tight := cfg.TrainOptions().Filter(inst, 0)
 	admittedAny := false
 	for b := 0; b < inst.N() && !admittedAny; b++ {
 		if b != 0 && tight.Admits(0, b) && inst.Ex.VpinDist(0, b) > 0 {
@@ -36,7 +37,7 @@ func TestPairFilterRules(t *testing.T) {
 
 	// Y limit rejects pairs with different y.
 	ycfg := WithY(ML9()).withDefaults()
-	yf := newPairFilter(inst, ycfg, -1)
+	yf := ycfg.TrainOptions().Filter(inst, -1)
 	for b := 1; b < inst.N(); b++ {
 		if inst.Ex.DiffVpinYOf(0, b) != 0 && yf.Admits(0, b) {
 			t.Fatalf("Y filter admitted pair with DiffVpinY %f", inst.Ex.DiffVpinYOf(0, b))
@@ -62,11 +63,11 @@ func TestPairFilterRules(t *testing.T) {
 
 func TestSampleNegativeRespectsFilters(t *testing.T) {
 	chs := challenges(t, 8)
-	inst := NewInstance(chs[0])
+	inst := pairs.New(chs[0])
 	rng := rand.New(rand.NewSource(2))
 	cfg := WithY(Imp9()).withDefaults()
-	radius := NeighborRadiusNorm([]*Instance{inst}, 0.9)
-	filter := newPairFilter(inst, cfg, radius)
+	radius := pairs.NeighborRadiusNorm([]*Instance{inst}, 0.9)
+	filter := cfg.TrainOptions().Filter(inst, radius)
 
 	vpins := make([]int, inst.N())
 	selected := make([]bool, inst.N())
@@ -92,7 +93,7 @@ func TestSampleNegativeRespectsFilters(t *testing.T) {
 
 func TestTrainingSetOnlyVpinsRestriction(t *testing.T) {
 	chs := challenges(t, 8)
-	insts := NewInstances(chs[:1])
+	insts := prep(chs[:1])
 	rng := rand.New(rand.NewSource(3))
 	n := insts[0].N()
 	only := [][]int{make([]int, 0, n/2)}

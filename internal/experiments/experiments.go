@@ -13,15 +13,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/attack"
 	"repro/internal/layout"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/priorwork"
 	"repro/internal/split"
 	"repro/internal/sweep"
@@ -76,30 +75,16 @@ type Suite struct {
 	models *model.Store
 }
 
-// NewSuite generates the five benchmark designs at the given scale.
-func NewSuite(scale float64, seed int64) (*Suite, error) {
-	return NewSuiteObs(nil, scale, seed)
-}
-
-// NewSuiteObs is NewSuite with an observability context (nil disables it)
-// that instruments suite generation and every subsequent suite operation.
-func NewSuiteObs(o *obs.Context, scale float64, seed int64) (*Suite, error) {
-	return NewSuiteParallel(o, scale, seed, 0)
-}
-
-// NewSuiteParallel is NewSuiteObs with an explicit worker bound (0 =
-// GOMAXPROCS): the benchmark designs are generated concurrently, and the
-// bound is inherited by every attack run and config sweep started through
-// the suite. Generation is per-design deterministic, so the suite is
-// identical at any worker count.
-func NewSuiteParallel(o *obs.Context, scale float64, seed int64, workers int) (*Suite, error) {
-	return NewSuiteTier(o, layout.TierStandard, scale, seed, workers)
-}
-
-// NewSuiteTier is NewSuiteParallel with an explicit suite tier: "standard"
-// for the five sb* benchmark designs, "industrial" for the three 100k+-cell
-// sbx* designs. The tier changes only which designs are generated; every
-// cache and attack path downstream is tier-agnostic.
+// NewSuiteTier generates the benchmark designs of a suite tier at the
+// given scale: "standard" for the five sb* benchmark designs, "industrial"
+// for the three 100k+-cell sbx* designs. The tier changes only which
+// designs are generated; every cache and attack path downstream is
+// tier-agnostic. o, when non-nil, instruments generation and every
+// subsequent suite operation. The designs are generated concurrently on up
+// to workers goroutines (0 = GOMAXPROCS), and the bound is inherited by
+// every attack run and config sweep started through the suite. Generation
+// is per-design deterministic, so the suite is identical at any worker
+// count.
 func NewSuiteTier(o *obs.Context, tier string, scale float64, seed int64, workers int) (*Suite, error) {
 	designs, err := layout.GenerateSuiteObs(o, layout.SuiteConfig{Tier: tier, Scale: scale, Seed: seed, Workers: workers})
 	if err != nil {
@@ -281,7 +266,7 @@ func (s *Suite) Run(cfg attack.Config, layer int) (*attack.Result, error) {
 // suite's worker pool, assembling the per-fold evaluations into one
 // attack.Result. Each fold goes through runFold — and therefore through the
 // checkpoint when one is configured — and is bit-identical to the matching
-// entry of a monolithic attack.RunInstances call, so decomposition (and any
+// entry of a monolithic attack.Run call, so decomposition (and any
 // mix of loaded and computed folds) never changes results.
 func (s *Suite) runFolds(cfg attack.Config, layer int, sd float64, insts []*attack.Instance) (*attack.Result, error) {
 	pcfg := s.prepare(cfg)
@@ -321,7 +306,7 @@ func (s *Suite) runFold(pcfg attack.Config, layer int, sd float64,
 		ev, radius, _, err := sweep.RunUnit(s.Obs, s.Checkpoint, s.unit(pcfg, layer, sd, fold), pcfg, insts)
 		return ev, radius, err
 	}
-	return attack.RunFoldInstances(pcfg, insts, fold)
+	return attack.RunTarget(pcfg, insts, fold)
 }
 
 // unit builds the sweep work unit of one fold. Every configuration is
@@ -369,7 +354,7 @@ func (s *Suite) RunPA(cfg attack.Config, layer int, sd float64) ([]attack.PAOutc
 			return nil, err
 		}
 	}
-	o, err := attack.RunProximityOnInstances(s.prepare(cfg), insts, prior)
+	o, err := attack.RunProximity(s.prepare(cfg), insts, prior)
 	if err != nil {
 		return nil, err
 	}
@@ -414,33 +399,13 @@ func (s *Suite) RunNoisy(cfg attack.Config, layer int, sd float64) (*attack.Resu
 // under "sweep.<name>". Each index's work is deterministic on its own, so
 // the sweep result does not depend on the worker count.
 func (s *Suite) sweep(name string, n int, fn func(i int) error) error {
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 	prog := s.Obs.NewProgress("sweep."+name, int64(n))
 	defer prog.Finish()
 	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-				prog.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(n, s.Workers, func(_, i int) {
+		errs[i] = fn(i)
+		prog.Add(1)
+	})
 	return errors.Join(errs...)
 }
 

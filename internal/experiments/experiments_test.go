@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/layout"
 )
 
 // One tiny suite shared by all experiment tests; experiment runs are cached
@@ -20,7 +21,7 @@ var (
 func testSuite(t *testing.T) *Suite {
 	t.Helper()
 	suiteOnce.Do(func() {
-		suiteVal, suiteErr = NewSuite(0.12, 3)
+		suiteVal, suiteErr = NewSuiteTier(nil, layout.TierStandard, 0.12, 3, 0)
 	})
 	if suiteErr != nil {
 		t.Fatal(suiteErr)

@@ -248,7 +248,7 @@ func ExtDefense(s *Suite, w io.Writer) error {
 		}
 		cfg := attack.Imp11()
 		cfg.Name = fmt.Sprintf("Imp-11-def%d", vi)
-		res, err := attack.Run(s.prepare(cfg), chs)
+		res, err := attack.Run(s.prepare(cfg), attack.NewInstancesWorkers(chs, s.Workers))
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/features"
 	"repro/internal/ml"
+	"repro/internal/pairs"
 	"repro/internal/priorwork"
 	"repro/internal/split"
 )
@@ -79,7 +80,7 @@ func figTrainingSamples(s *Suite, layer, design int) (*ml.Dataset, error) {
 	}
 	cfg := attack.Imp11()
 	cfg.Seed = s.Seed
-	radius := attack.NeighborRadiusNorm(trainInsts, 0.90)
+	radius := pairs.NeighborRadiusNorm(trainInsts, 0.90)
 	rng := rand.New(rand.NewSource(s.Seed + int64(layer*100+design)))
 	ds := attack.TrainingSet(cfg, []*attack.Instance{insts[design]}, radius, nil, rng)
 	if err := ds.Validate(); err != nil {

@@ -1,10 +1,6 @@
 package pairs
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "repro/internal/par"
 
 // StreamOptions configures one ScoreLists run.
 type StreamOptions struct {
@@ -76,77 +72,61 @@ func ScoreLists(f Filter, backend Backend, opts StreamOptions) ([][]Candidate, S
 	if capPer < 1 {
 		capPer = 1
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > total {
-		workers = total
-	}
+	workers := par.Workers(opts.Workers, total)
 	regions := inst.ix.regions(opts.Targets, shardSize(opts.ShardVpins, total, workers))
 	stats := StreamStats{Regions: len(regions)}
-	if workers > len(regions) {
-		workers = len(regions)
-	}
+	workers = par.Workers(workers, len(regions))
 
-	var nextRegion atomic.Int64
-	var pairs, batches, batchRows, retained int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g := Gatherer{Stride: opts.Stride}
-			var h TopK
-			var scored, kept int64
-			// spans defers list fix-up to the end of the region: the arena
-			// may reallocate while the region streams, so slices into it are
-			// only taken once its length is final.
-			type span struct{ a, lo, hi int }
-			var spans []span
-			arenaHint := 0
-			for {
-				ri := int(nextRegion.Add(1)) - 1
-				if ri >= len(regions) {
-					break
-				}
-				arena := make([]Candidate, 0, arenaHint)
-				spans = spans[:0]
-				for _, a32 := range regions[ri] {
-					a := int(a32)
-					h.Reset(capPer)
-					g.Gather(f, a)
-					g.Score(backend)
-					scored += int64(len(g.Ids))
-					if opts.Visit != nil {
-						opts.Visit(a, &g)
-					}
-					for k, b := range g.Ids {
-						h.Push(Candidate{Other: b, P: float32(g.P[k]), D: g.D[k]})
-					}
-					lo := len(arena)
-					arena = append(arena, h.Sorted()...)
-					spans = append(spans, span{a: a, lo: lo, hi: len(arena)})
-				}
-				for _, sp := range spans {
-					lists[sp.a] = arena[sp.lo:sp.hi:sp.hi]
-				}
-				kept += int64(len(arena))
-				if len(arena) > arenaHint {
-					arenaHint = len(arena)
-				}
-			}
-			atomic.AddInt64(&pairs, scored)
-			atomic.AddInt64(&batches, g.Batches)
-			atomic.AddInt64(&batchRows, g.BatchRows)
-			atomic.AddInt64(&retained, kept)
-		}()
+	// spans defers list fix-up to the end of a region: the arena may
+	// reallocate while the region streams, so slices into it are only taken
+	// once its length is final.
+	type span struct{ a, lo, hi int }
+	type workerState struct {
+		g            Gatherer
+		h            TopK
+		spans        []span
+		arenaHint    int
+		scored, kept int64
 	}
-	wg.Wait()
-	stats.Pairs = pairs
-	stats.Batches = batches
-	stats.BatchRows = batchRows
-	stats.Retained = retained
+	ws := make([]workerState, workers)
+	for w := range ws {
+		ws[w].g.Stride = opts.Stride
+	}
+	par.For(len(regions), workers, func(worker, ri int) {
+		w := &ws[worker]
+		arena := make([]Candidate, 0, w.arenaHint)
+		w.spans = w.spans[:0]
+		for _, a32 := range regions[ri] {
+			a := int(a32)
+			w.h.Reset(capPer)
+			w.g.Gather(f, a)
+			w.g.Score(backend)
+			w.scored += int64(len(w.g.Ids))
+			if opts.Visit != nil {
+				opts.Visit(a, &w.g)
+			}
+			for k, b := range w.g.Ids {
+				w.h.Push(Candidate{Other: b, P: float32(w.g.P[k]), D: w.g.D[k]})
+			}
+			lo := len(arena)
+			arena = append(arena, w.h.Sorted()...)
+			w.spans = append(w.spans, span{a: a, lo: lo, hi: len(arena)})
+		}
+		for _, sp := range w.spans {
+			lists[sp.a] = arena[sp.lo:sp.hi:sp.hi]
+		}
+		w.kept += int64(len(arena))
+		if len(arena) > w.arenaHint {
+			w.arenaHint = len(arena)
+		}
+	})
+	for i := range ws {
+		w := &ws[i]
+		stats.Pairs += w.scored
+		stats.Batches += w.g.Batches
+		stats.BatchRows += w.g.BatchRows
+		stats.Retained += w.kept
+	}
 	return lists, stats
 }
 

@@ -341,3 +341,26 @@ func TestHTTPIndexListsEndpoints(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPSubmitBodyCap rejects a POST /jobs body over maxSpecBytes with
+// 413 before the spec reaches Submit: no job is created.
+func TestHTTPSubmitBodyCap(t *testing.T) {
+	s, ts := httpFixture(t, Options{Pool: 1, runner: stubRunner})
+	pad := strings.Repeat(" ", maxSpecBytes)
+	body := `{"kind":"attack","design":"sb1",` + pad + `"config":{"preset":"ML-9"}}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if code := errCode(t, resp, string(data), "/jobs"); code != "spec_too_large" {
+		t.Errorf("oversized body: code %q, want spec_too_large", code)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("oversized body created %d jobs", n)
+	}
+}

@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/attack"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/sweep"
 )
 
@@ -92,7 +90,7 @@ func targetIndex(insts []*attack.Instance, design string) (int, error) {
 func (s *Server) runTrain(job *Job, spec JobSpec, insts []*attack.Instance,
 	prog *obs.Progress) (*TrainResult, error) {
 
-	cfg, err := spec.Config.resolve()
+	cfg, err := spec.Config.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +141,7 @@ func (s *Server) runTrain(job *Job, spec JobSpec, insts []*attack.Instance,
 func (s *Server) runAttack(ctx context.Context, job *Job, spec JobSpec,
 	insts []*attack.Instance, prog *obs.Progress) (*AttackResult, error) {
 
-	cfg, err := spec.Config.resolve()
+	cfg, err := spec.Config.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +151,7 @@ func (s *Server) runAttack(ctx context.Context, job *Job, spec JobSpec,
 		return nil, err
 	}
 	s.setStage(job, "attack")
-	ev, radiusNorm, err := attack.RunTargetInstances(cfg, insts, target)
+	ev, radiusNorm, err := attack.RunTarget(cfg, insts, target)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +164,7 @@ func (s *Server) runAttack(ctx context.Context, job *Job, spec JobSpec,
 		return nil, err
 	}
 	s.setStage(job, "proximity")
-	out, err := attack.ProximityTargetInstances(cfg, insts, target, ev, radiusNorm)
+	out, err := attack.ProximityTarget(cfg, insts, target, ev, radiusNorm)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +195,7 @@ func (s *Server) runSweep(ctx context.Context, job *Job, spec JobSpec,
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cfg, err := cs.resolve()
+		cfg, err := cs.Resolve()
 		if err != nil {
 			return nil, err
 		}
@@ -274,11 +272,11 @@ func (s *Server) sweepShardConfig(ctx context.Context, spec JobSpec, cfg attack.
 }
 
 // sweepConfig runs one configuration's full leave-one-out sweep, fanning
-// folds across a bounded pool (like attack.RunInstances) and serving each
-// fold from the server's checkpoint when it has one — the merge path
-// recombining partials that sharded jobs or CLI shards computed. Results
-// are bit-identical to attack.RunInstances at any pool size and any mix of
-// loaded and computed folds.
+// folds across a bounded pool (like attack.Run) and serving each fold from
+// the server's checkpoint when it has one — the merge path recombining
+// partials that sharded jobs or CLI shards computed. Results are
+// bit-identical to attack.Run at any pool size and any mix of loaded and
+// computed folds.
 func (s *Server) sweepConfig(ctx context.Context, spec JobSpec, cfg attack.Config,
 	insts []*attack.Instance) (*SweepConfigResult, error) {
 
@@ -288,48 +286,27 @@ func (s *Server) sweepConfig(ctx context.Context, spec JobSpec, cfg attack.Confi
 		Evals:      make([]*attack.Evaluation, len(insts)),
 		RadiusNorm: make([]float64, len(insts)),
 	}
-	workers := s.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(insts) {
-		workers = len(insts)
-	}
 	errs := make([]error, len(insts))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				fold := int(next.Add(1)) - 1
-				if fold >= len(insts) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[fold] = err
-					return
-				}
-				r.RadiusNorm[fold] = -1
-				var ev *attack.Evaluation
-				var radius float64
-				var err error
-				if u, ok := sweepUnit(spec, cfg, fold, insts); ok && s.ck != nil {
-					ev, radius, _, err = sweep.RunUnit(s.o, s.ck, u, cfg, insts)
-				} else {
-					ev, radius, err = attack.RunFoldInstances(cfg, insts, fold)
-				}
-				if err != nil {
-					errs[fold] = err
-					continue
-				}
-				r.Evals[fold] = ev
-				r.RadiusNorm[fold] = radius
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(insts), s.opts.Workers, func(_, fold int) {
+		r.RadiusNorm[fold] = -1
+		if errs[fold] = ctx.Err(); errs[fold] != nil {
+			return
+		}
+		var ev *attack.Evaluation
+		var radius float64
+		var err error
+		if u, ok := sweepUnit(spec, cfg, fold, insts); ok && s.ck != nil {
+			ev, radius, _, err = sweep.RunUnit(s.o, s.ck, u, cfg, insts)
+		} else {
+			ev, radius, err = attack.RunTarget(cfg, insts, fold)
+		}
+		if err != nil {
+			errs[fold] = err
+			return
+		}
+		r.Evals[fold] = ev
+		r.RadiusNorm[fold] = radius
+	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}

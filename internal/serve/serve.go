@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -47,6 +48,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/split"
 	"repro/internal/sweep"
 )
@@ -357,7 +359,7 @@ func (s *Server) runOne(job *Job) {
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		res, err := s.opts.runner(ctx, s, job)
+		res, err := s.runJob(ctx, job)
 		ch <- outcome{res, err}
 	}()
 	select {
@@ -369,6 +371,26 @@ func (s *Server) runOne(job *Job) {
 		// results because the job is already terminal.
 		s.finish(job, nil, ctx.Err())
 	}
+}
+
+// runJob calls the job runner and turns a panic into the job's error, so
+// one faulty job fails alone instead of taking the server down. The panic's
+// stack — the engine worker's when the panic crossed a worker pool — goes
+// to the log, not into the job record.
+func (s *Server) runJob(ctx context.Context, job *Job) (res *Result, err error) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		stack := debug.Stack()
+		if p, ok := v.(*par.Panic); ok {
+			v, stack = p.Value, p.Stack
+		}
+		s.o.Log().Error("job panicked", "job", job.ID, "panic", fmt.Sprint(v), "stack", string(stack))
+		res, err = nil, fmt.Errorf("serve: job panicked: %v", v)
+	}()
+	return s.opts.runner(ctx, s, job)
 }
 
 // finish moves a running job to its terminal state and persists it. Late

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/split"
 )
 
@@ -90,7 +92,7 @@ func waitState(t *testing.T, s *Server, job *Job, want JobState) {
 
 // TestServeBitIdentity is the service's core contract: an attack job
 // submitted over the job layer yields an Evaluation digest-identical to
-// the same configuration run directly through attack.RunTargetInstances.
+// the same configuration run directly through attack.RunTarget.
 func TestServeBitIdentity(t *testing.T) {
 	s := newTestServer(t, Options{Pool: 1})
 	job, err := s.Submit(attackSpec("sb1"))
@@ -124,7 +126,7 @@ func TestServeBitIdentity(t *testing.T) {
 	}
 	cfg, _ := attack.ConfigByName("ML-9")
 	cfg.Seed = testSeed
-	ev, radius, err := attack.RunTargetInstances(cfg, attack.NewInstances(chs), target)
+	ev, radius, err := attack.RunTarget(cfg, attack.NewInstancesWorkers(chs, 0), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestServeMLPBitIdentity(t *testing.T) {
 	}
 	cfg.Seed = testSeed
 	cfg.MLPEpochs = 3
-	ev, _, err := attack.RunTargetInstances(cfg, attack.NewInstances(chs), target)
+	ev, _, err := attack.RunTarget(cfg, attack.NewInstancesWorkers(chs, 0), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +380,7 @@ func TestServeSpecValidation(t *testing.T) {
 func TestServeConfigSpecResolve(t *testing.T) {
 	tr := true
 	cs := ConfigSpec{Preset: "Imp-11", TwoLevel: &tr, NumTrees: 7, Base: "randomtree"}
-	cfg, err := cs.resolve()
+	cfg, err := cs.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,14 +389,14 @@ func TestServeConfigSpecResolve(t *testing.T) {
 	}
 	off := false
 	cs2 := ConfigSpec{Preset: "Imp-9", Neighborhood: &off}
-	cfg2, err := cs2.resolve()
+	cfg2, err := cs2.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg2.Neighborhood {
 		t.Errorf("neighborhood override off failed: %+v", cfg2)
 	}
-	if _, err := (ConfigSpec{Name: "custom", Features: []int{0, 1, 99}}).resolve(); err == nil {
+	if _, err := (ConfigSpec{Name: "custom", Features: []int{0, 1, 99}}).Resolve(); err == nil {
 		t.Error("out-of-range feature index accepted")
 	}
 
@@ -402,7 +404,7 @@ func TestServeConfigSpecResolve(t *testing.T) {
 	on := true
 	cs3 := ConfigSpec{Preset: "Imp-11", Learner: model.FamilyMLP,
 		MLPHidden: 24, MLPEpochs: 5, MLPRate: 0.1, Ranking: &on}
-	cfg3, err := cs3.resolve()
+	cfg3, err := cs3.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +414,7 @@ func TestServeConfigSpecResolve(t *testing.T) {
 	}
 	// The DL-MLP preset's ranking head can be toggled off.
 	offR := false
-	cfg4, err := (ConfigSpec{Preset: "DL-MLP-rank", Ranking: &offR}).resolve()
+	cfg4, err := (ConfigSpec{Preset: "DL-MLP-rank", Ranking: &offR}).Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,5 +440,52 @@ func TestServeJobIDsMonotonic(t *testing.T) {
 	}
 	if want := fmt.Sprintf("j-%06d", 5); last != want {
 		t.Errorf("last ID %s, want %s", last, want)
+	}
+}
+
+// TestServePanickingJobFails pins crash isolation: a job whose runner
+// panics — directly, or on an engine worker goroutine inside a par.For
+// pool — ends failed with the panic value, and the next job on the same
+// server runs to completion.
+func TestServePanickingJobFails(t *testing.T) {
+	runner := func(ctx context.Context, s *Server, job *Job) (*Result, error) {
+		switch job.Spec.Design {
+		case "sb1":
+			panic("injected runner panic")
+		case "sb10":
+			par.For(4, 2, func(_, i int) {
+				if i == 2 {
+					panic("injected worker panic")
+				}
+			})
+		}
+		return stubRunner(ctx, s, job)
+	}
+	s := newTestServer(t, Options{Pool: 1, runner: runner,
+		DefaultScale: testScale, DefaultSeed: testSeed})
+	for _, tc := range []struct{ design, msg string }{
+		{"sb1", "injected runner panic"},
+		{"sb10", "injected worker panic"},
+	} {
+		job, err := s.Submit(attackSpec(tc.design))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, job, 30*time.Second)
+		st := s.Status(job)
+		if st.State != StateFailed {
+			t.Fatalf("%s: panicking job ended %s, want failed", tc.design, st.State)
+		}
+		if !strings.Contains(st.Error, tc.msg) || strings.Contains(st.Error, "goroutine") {
+			t.Errorf("%s: job error %q does not carry just the panic value", tc.design, st.Error)
+		}
+	}
+	next, err := s.Submit(attackSpec("sb5"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, next, 30*time.Second)
+	if st := s.Status(next).State; st != StateDone {
+		t.Fatalf("job after a panic ended %s, want done", st)
 	}
 }

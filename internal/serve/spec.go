@@ -124,8 +124,11 @@ type ConfigSpec struct {
 	ScalarScoring bool `json:"scalar_scoring,omitempty"`
 }
 
-// resolve turns the wire form into an engine configuration.
-func (cs ConfigSpec) resolve() (attack.Config, error) {
+// Resolve turns the wire form into a validated engine configuration: the
+// preset (or a bare named config), then every set field as an override.
+// It is the one place a preset plus overrides becomes an attack.Config;
+// the job server and the splitattack command both resolve through it.
+func (cs ConfigSpec) Resolve() (attack.Config, error) {
 	var cfg attack.Config
 	switch {
 	case cs.Preset != "":
@@ -260,7 +263,7 @@ func (s *Server) normalize(spec JobSpec) (JobSpec, error) {
 			}
 		}
 		for i, cs := range spec.Configs {
-			if _, err := cs.resolve(); err != nil {
+			if _, err := cs.Resolve(); err != nil {
 				return spec, fmt.Errorf("configs[%d]: %w", i, err)
 			}
 		}
@@ -272,7 +275,7 @@ func (s *Server) normalize(spec JobSpec) (JobSpec, error) {
 	if spec.Config == nil {
 		return spec, fmt.Errorf("%s jobs need a config", spec.Kind)
 	}
-	if _, err := spec.Config.resolve(); err != nil {
+	if _, err := spec.Config.Resolve(); err != nil {
 		return spec, err
 	}
 	if spec.Design == "" {

@@ -95,17 +95,17 @@ func TestHTTPDesignsTier(t *testing.T) {
 // memory bounds reaches the engine configuration.
 func TestServeConfigSpecMemoryKnobs(t *testing.T) {
 	cs := ConfigSpec{Preset: "Imp-11", MaxLoCCount: 256, ShardVpins: 2048}
-	cfg, err := cs.resolve()
+	cfg, err := cs.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.MaxLoCCount != 256 || cfg.ShardVpins != 2048 {
 		t.Errorf("resolved config knobs = %d/%d, want 256/2048", cfg.MaxLoCCount, cfg.ShardVpins)
 	}
-	if _, err := (ConfigSpec{Preset: "Imp-11", MaxLoCCount: -1}).resolve(); err == nil {
+	if _, err := (ConfigSpec{Preset: "Imp-11", MaxLoCCount: -1}).Resolve(); err == nil {
 		t.Error("negative max_loc_count accepted")
 	}
-	if _, err := (ConfigSpec{Preset: "Imp-11", ShardVpins: -1}).resolve(); err == nil {
+	if _, err := (ConfigSpec{Preset: "Imp-11", ShardVpins: -1}).Resolve(); err == nil {
 		t.Error("negative shard_vpins accepted")
 	}
 }

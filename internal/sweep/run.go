@@ -36,7 +36,7 @@ func (o Outcome) String() string {
 
 // RunUnit is the single chokepoint every sharded, checkpointed, or merged
 // fold goes through: load the unit from the checkpoint if a valid partial
-// exists, otherwise compute it with attack.RunFoldInstances and persist it.
+// exists, otherwise compute it with attack.RunTarget and persist it.
 // The result is bit-identical either way — the checkpoint codec round-trips
 // every evaluation bit — so callers can mix loaded and computed units
 // freely. A nil checkpoint always computes.
@@ -72,7 +72,7 @@ func RunUnit(o *obs.Context, ck *Checkpoint, u Unit, cfg attack.Config,
 		discarded = disc
 	}
 
-	ev, radius, err := attack.RunFoldInstances(cfg, insts, u.Fold)
+	ev, radius, err := attack.RunTarget(cfg, insts, u.Fold)
 	if err != nil {
 		return nil, 0, Computed, err
 	}

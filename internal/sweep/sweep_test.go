@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/pairs"
 )
 
 func testUnit() Unit {
@@ -32,7 +33,7 @@ func syntheticEval() *attack.Evaluation {
 		Design:     "sb10",
 		SplitLayer: 6,
 		N:          3,
-		Cands: [][]attack.Candidate{
+		Cands: [][]pairs.Candidate{
 			{{Other: 1, P: 0.875, D: 12.5}, {Other: 2, P: float32(0.1), D: float32(math.Pi)}},
 			{{Other: 0, P: 0.875, D: 12.5}},
 			{},

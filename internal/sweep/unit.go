@@ -5,8 +5,8 @@
 //
 // The unit of work is one (design-fold × config × layer × noise) attack run:
 // train on every design but the fold's, score the fold's. Fold runs are
-// independent — attack.RunFoldInstances is bit-identical to the matching
-// slice of a full attack.RunInstances — so any partition of the unit set
+// independent — attack.RunTarget is bit-identical to the matching slice of
+// a full attack.Run — so any partition of the unit set
 // across shards, in any order, at any worker count, recombines into exactly
 // the single-process result. Unit keys hash every coordinate that selects
 // the unit's bits (suite provenance, config options hash, layer, noise,

@@ -28,6 +28,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/model"
 	"repro/internal/obfuscate"
+	"repro/internal/pairs"
 	"repro/internal/sim"
 	"repro/internal/split"
 )
@@ -138,7 +139,7 @@ func WithRandomForest(c AttackConfig, trees int) AttackConfig {
 }
 
 // Scorer is the classifier interface the attack engine consumes.
-type Scorer = attack.Scorer
+type Scorer = pairs.Scorer
 
 // WithLogistic switches the configuration's learner family to L2-regularised
 // logistic regression — a linear reference point between the prior work's
@@ -195,13 +196,19 @@ func JogTrunks(d *Design, splitLayer, maxJogTracks int, frac float64, seed int64
 // RunAttack executes the leave-one-out machine-learning attack on the
 // given challenges (all cut at the same split layer).
 func RunAttack(cfg AttackConfig, chs []*Challenge) (*AttackResult, error) {
-	return attack.Run(cfg, chs)
+	return attack.Run(cfg, attack.NewInstancesWorkers(chs, cfg.Workers))
 }
 
-// RunProximityAttack executes the validation-based proximity attack
-// (§III-H) for every design.
+// RunProximityAttack executes the leave-one-out attack and then the
+// validation-based proximity attack (§III-H) on its scored candidates, for
+// every design.
 func RunProximityAttack(cfg AttackConfig, chs []*Challenge) ([]PAOutcome, error) {
-	return attack.RunProximity(cfg, chs)
+	insts := attack.NewInstancesWorkers(chs, cfg.Workers)
+	prior, err := attack.Run(cfg, insts)
+	if err != nil {
+		return nil, err
+	}
+	return attack.RunProximity(cfg, insts, prior)
 }
 
 // Curve evaluates the aggregate accuracy-vs-LoC-fraction trade-off of a
