@@ -230,24 +230,19 @@ func runAttack(args []string) {
 			fmt.Printf("scoring with artifact %s (spec %.12s, trained by %s)\n",
 				*modelPath, art.Meta.SpecHash, art.Meta.Version)
 		}
-	} else if ck := s.app.Checkpoint(); ck != nil {
-		// Checkpointed single-target run: the fold is saved as (or served
-		// from) the same work unit an `experiments -shard` worker or a sweep
-		// job would produce at these coordinates, so the commands compose.
-		u := sweep.Unit{
-			Prov:   sweep.Provenance{Tier: s.app.Tier, Scale: s.app.Scale, Seed: s.app.Seed},
-			Config: cfg.Name, Spec: cfg.OptionsHash(),
-			Layer: s.layer, Fold: s.target, Design: s.design,
-		}
-		var outcome sweep.Outcome
-		ev, radiusNorm, outcome, err = sweep.RunUnit(o, ck, u, cfg, s.insts)
-		if err == nil {
-			fmt.Printf("checkpoint %s: unit %s %s\n", ck.Dir(), u.Key(), outcome)
-		}
 	} else {
 		// Single-target entry point: only the held-out design's model is
-		// trained, instead of the full leave-one-out sweep over all designs.
-		ev, radiusNorm, err = attack.RunTarget(cfg, s.insts, s.target)
+		// trained. With -checkpoint-dir the fold is saved as (or served
+		// from) the same work unit an `experiments -shard` worker or a sweep
+		// job would produce at these coordinates, so the commands compose.
+		ck := s.app.Checkpoint()
+		u := sweep.NewUnit(sweep.Provenance{Tier: s.app.Tier, Scale: s.app.Scale, Seed: s.app.Seed},
+			cfg, s.layer, 0, s.target, s.design)
+		var outcome sweep.Outcome
+		ev, radiusNorm, outcome, err = sweep.RunUnit(o, ck, u, cfg, s.insts)
+		if err == nil && ck != nil {
+			fmt.Printf("checkpoint %s: unit %s %s\n", ck.Dir(), u.Key(), outcome)
+		}
 	}
 	if err != nil {
 		cli.Fatal(err)

@@ -72,7 +72,7 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := obs.NewHTTPServer(srv.Handler())
 	fmt.Printf("splitserved listening on http://%s (pool %d, queue %d)\n",
 		ln.Addr(), *pool, *queue)
 	if *state != "" {

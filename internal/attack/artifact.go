@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/pairs"
 )
 
 // TrainSpec returns the model spec the leave-one-out run for the held-out
@@ -25,12 +24,8 @@ func targetSpec(cfg Config, insts []*Instance, target int) (Config, model.Spec, 
 	if err != nil {
 		return cfg, model.Spec{}, 0, err
 	}
-	trainInsts := others(insts, target)
-	radiusNorm := -1.0
-	if cfg.Neighborhood {
-		radiusNorm = pairs.NeighborRadiusNorm(trainInsts, cfg.NeighborQuantile)
-	}
-	return cfg, cfg.trainSpec(trainInsts, target, radiusNorm, nil), radiusNorm, nil
+	spec, radiusNorm := cfg.foldSpec(insts, target, nil)
+	return cfg, spec, radiusNorm, nil
 }
 
 // RunTargetArtifact scores the held-out design at index target with a

@@ -171,9 +171,8 @@ func TestBatchGatherScoreAllocFree(t *testing.T) {
 	for _, base := range []Config{Imp11(), WithTwoLevel(Imp11())} {
 		cfg := base.withDefaults()
 		cfg.Seed = 3
-		train := others(insts, 0)
-		radius := pairs.NeighborRadiusNorm(train, cfg.NeighborQuantile)
-		art, _, err := model.Train(cfg.trainSpec(train, 0, radius, nil))
+		spec, radius := cfg.foldSpec(insts, 0, nil)
+		art, _, err := model.Train(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,12 +27,8 @@ import (
 func benchAttackModel(b *testing.B, cfg Config, layer int) (pairs.Scorer, *Instance, float64) {
 	b.Helper()
 	insts := prep(challenges(b, layer))
-	train := others(insts, 0)
-	radius := -1.0
-	if cfg.Neighborhood {
-		radius = pairs.NeighborRadiusNorm(train, cfg.NeighborQuantile)
-	}
-	art, _, err := model.Train(cfg.trainSpec(train, 0, radius, nil))
+	spec, radius := cfg.foldSpec(insts, 0, nil)
+	art, _, err := model.Train(spec)
 	if err != nil {
 		b.Fatal(err)
 	}

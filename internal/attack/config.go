@@ -145,15 +145,23 @@ func (c Config) TrainOptions() model.TrainOptions {
 	}
 }
 
-// trainSpec builds the model spec for training on trainInsts with this
-// configuration's options, seeded for the given held-out fold. span, when
-// non-nil, is the parent the training stage's progress spans nest under.
-func (c Config) trainSpec(trainInsts []*Instance, target int, radiusNorm float64, span *obs.Span) model.Spec {
+// foldSpec builds the model spec of leave-one-out fold target — training
+// on every other instance with this configuration's options, seeded for the
+// fold — and the fold's neighborhood radius (-1 without the Imp
+// improvement). span, when non-nil, records the radius and is the parent
+// the training stage's progress spans nest under.
+func (c Config) foldSpec(insts []*Instance, target int, span *obs.Span) (model.Spec, float64) {
+	trainInsts := others(insts, target)
+	radiusNorm := -1.0
+	if c.Neighborhood {
+		radiusNorm = pairs.NeighborRadiusNorm(trainInsts, c.NeighborQuantile)
+		span.SetAttr("radius_norm", radiusNorm)
+	}
 	spec := model.NewSpec(c.TrainOptions(), c.Seed, target, trainInsts, radiusNorm)
 	spec.Workers = c.Workers
 	spec.Obs = c.Obs
 	spec.Span = span
-	return spec
+	return spec, radiusNorm
 }
 
 func (c Config) withDefaults() Config {

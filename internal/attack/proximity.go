@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -151,19 +152,18 @@ func RunProximity(cfg Config, insts []*Instance, prior *Result) ([]PAOutcome, er
 		int64(len(insts)))
 	defer prog.Finish()
 	outcomes := make([]PAOutcome, len(insts))
-	errs := make([]error, len(insts))
-	par.For(len(insts), workers, func(worker, target int) {
+	errs := ForFolds(context.Background(), len(insts), workers, func(worker, target int) error {
 		defer prog.Add(1)
 		ev := prior.Evals[target]
 		if ev == nil {
-			errs[target] = fmt.Errorf("attack: %s: target %s: prior result has no evaluation",
+			return fmt.Errorf("attack: %s: target %s: prior result has no evaluation",
 				cfg.Name, insts[target].Ch.Design.Name)
-			return
 		}
 		tsp := root.Begin("pa-target",
 			obs.F("design", insts[target].Ch.Design.Name), obs.F("worker", worker))
 		outcomes[target] = paTarget(cfg, insts, target, ev, prior.RadiusNorm[target], tsp)
 		tsp.End()
+		return nil
 	})
 	if err := errors.Join(errs...); err != nil {
 		return outcomes, fmt.Errorf("attack: %s: proximity attack: %w", cfg.Name, err)

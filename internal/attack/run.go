@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -38,7 +39,6 @@ type Result struct {
 	// RadiusNorm[i] is the neighborhood radius (fraction of die width)
 	// used when design i was the target; -1 without the Imp improvement.
 	RadiusNorm []float64
-	TotalDur   time.Duration
 }
 
 // MeanTrainDur and MeanTestDur average the per-target phase durations.
@@ -111,18 +111,36 @@ func prepareTarget(cfg Config, insts []*Instance, target int) (Config, error) {
 // must be cuts at the same split layer. Instances are read-only during the
 // run and may be shared between concurrent runs, so callers that run
 // several configurations over the same challenges pay the extractor/index
-// construction cost once.
+// construction cost once. Run is RunFolds without a context or a step.
+func Run(cfg Config, insts []*Instance) (*Result, error) {
+	return RunFolds(context.Background(), cfg, insts, nil)
+}
+
+// Fold computes one leave-one-out fold: its evaluation and neighborhood
+// radius.
+type Fold func() (*Evaluation, float64, error)
+
+// FoldStep produces fold `fold` of a leave-one-out run. compute is the
+// in-process fold — train on every other instance, score the held-out one,
+// under the run's span and on the calling pool worker — which the step may
+// call, or replace with a bit-identical result (a checkpoint load). The
+// sweep package's checkpointed step is the one production step.
+type FoldStep func(fold int, compute Fold) (*Evaluation, float64, error)
+
+// RunFolds is the one leave-one-out fold loop: every fold of the run, on
+// cfg.Workers goroutines (0 = GOMAXPROCS), each produced by step (nil
+// computes every fold in process). ctx is checked before each fold; a fold
+// that has not started when ctx is done fails with ctx.Err().
 //
-// Targets run concurrently on cfg.Workers goroutines (0 = GOMAXPROCS).
 // Each target's randomness is an independent stream derived from cfg.Seed
 // and the target index (see internal/rng), so the result is bit-identical
 // at every worker count, including 1.
 //
-// A failing target does not abort its siblings: Run finishes every target
-// and, when some failed, returns the partial Result — nil Evals entries
-// and RadiusNorm -1 for the failures — together with the joined per-target
-// errors.
-func Run(cfg Config, insts []*Instance) (*Result, error) {
+// A failing target does not abort its siblings: RunFolds finishes every
+// target and, when some failed, returns the partial Result — nil Evals
+// entries and RadiusNorm -1 for the failures — together with the joined
+// per-target errors.
+func RunFolds(ctx context.Context, cfg Config, insts []*Instance, step FoldStep) (*Result, error) {
 	cfg, err := prepareRun(cfg, insts)
 	if err != nil {
 		return nil, err
@@ -138,26 +156,30 @@ func Run(cfg Config, insts []*Instance) (*Result, error) {
 	prog := o.NewProgress(fmt.Sprintf("attack.%s.L%d", cfg.Name, insts[0].Ch.SplitLayer),
 		int64(len(insts)))
 	defer prog.Finish()
-	start := time.Now()
 	res := &Result{
 		Config:     cfg,
 		Evals:      make([]*Evaluation, len(insts)),
 		RadiusNorm: make([]float64, len(insts)),
 	}
-	errs := make([]error, len(insts))
-	par.For(len(insts), workers, func(worker, target int) {
-		res.RadiusNorm[target] = -1
-		ev, radius, err := runTarget(cfg, insts, target, worker, sp)
+	for i := range res.RadiusNorm {
+		res.RadiusNorm[i] = -1
+	}
+	if step == nil {
+		step = func(_ int, compute Fold) (*Evaluation, float64, error) { return compute() }
+	}
+	errs := ForFolds(ctx, len(insts), workers, func(worker, target int) error {
+		ev, radius, err := step(target, func() (*Evaluation, float64, error) {
+			return runTarget(cfg, insts, target, worker, sp)
+		})
 		prog.Add(1)
 		if err != nil {
-			errs[target] = err
-			return
+			return err
 		}
 		res.Evals[target] = ev
 		res.RadiusNorm[target] = radius
 		o.Metrics().Counter(fmt.Sprintf("attack.worker.%d.targets", worker)).Inc()
+		return nil
 	})
-	res.TotalDur = time.Since(start)
 	if err := errors.Join(errs...); err != nil {
 		failed := 0
 		for _, e := range errs {
@@ -169,6 +191,21 @@ func Run(cfg Config, insts []*Instance) (*Result, error) {
 			cfg.Name, failed, len(insts), err)
 	}
 	return res, nil
+}
+
+// ForFolds is the pool every leave-one-out fold runs on — the folds of one
+// run (RunFolds) and the owned work units of a sharded sweep alike: fn(worker,
+// i) for every i in 0..n-1 on par.Workers(workers, n) goroutines. ctx is
+// checked before each index; an index reached after ctx is done is not run
+// and reports ctx.Err(). The returned slice holds each index's error.
+func ForFolds(ctx context.Context, n, workers int, fn func(worker, i int) error) []error {
+	errs := make([]error, n)
+	par.For(n, workers, func(worker, i int) {
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			errs[i] = fn(worker, i)
+		}
+	})
+	return errs
 }
 
 // RunTarget runs exactly one leave-one-out fold — train on every instance
@@ -234,15 +271,8 @@ func trainModelUnit(cfg Config, ds *ml.Dataset, unit int64, target int) (pairs.S
 func runTarget(cfg Config, insts []*Instance, target, worker int, parent *obs.Span) (*Evaluation, float64, error) {
 	sp := cfg.Obs.BeginUnder(parent, "target",
 		obs.F("design", insts[target].Ch.Design.Name), obs.F("worker", worker))
-	trainInsts := others(insts, target)
-	radiusNorm := -1.0
-	if cfg.Neighborhood {
-		radiusNorm = pairs.NeighborRadiusNorm(trainInsts, cfg.NeighborQuantile)
-		sp.SetAttr("radius_norm", radiusNorm)
-	}
-
+	spec, radiusNorm := cfg.foldSpec(insts, target, sp)
 	t0 := time.Now()
-	spec := cfg.trainSpec(trainInsts, target, radiusNorm, sp)
 	art, stats, err := cfg.Models.GetOrTrain(spec)
 	if err != nil {
 		sp.End()

@@ -9,12 +9,12 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"sync"
-	"time"
 
 	"repro/internal/attack"
 	"repro/internal/layout"
@@ -238,175 +238,82 @@ func (s *Suite) prepare(cfg attack.Config) attack.Config {
 // Run executes (and caches) a leave-one-out attack run of cfg at the given
 // split layer.
 func (s *Suite) Run(cfg attack.Config, layer int) (*attack.Result, error) {
-	key := fmt.Sprintf("%s@%d", cfg.Name, layer)
-	s.mu.Lock()
-	if r, ok := s.runs[key]; ok {
-		s.mu.Unlock()
-		s.cacheLookup(true)
-		return r, nil
-	}
-	s.mu.Unlock()
-	s.cacheLookup(false)
-
-	insts, err := s.Instances(layer, 0)
-	if err != nil {
-		return nil, err
-	}
-	r, err := s.runFolds(cfg, layer, 0, insts)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.runs[key] = r
-	s.mu.Unlock()
-	return r, nil
-}
-
-// runFolds executes a full leave-one-out run of cfg fold by fold on the
-// suite's worker pool, assembling the per-fold evaluations into one
-// attack.Result. Each fold goes through runFold — and therefore through the
-// checkpoint when one is configured — and is bit-identical to the matching
-// entry of a monolithic attack.Run call, so decomposition (and any
-// mix of loaded and computed folds) never changes results.
-func (s *Suite) runFolds(cfg attack.Config, layer int, sd float64, insts []*attack.Instance) (*attack.Result, error) {
-	pcfg := s.prepare(cfg)
-	start := time.Now()
-	res := &attack.Result{
-		Config:     pcfg,
-		Evals:      make([]*attack.Evaluation, len(insts)),
-		RadiusNorm: make([]float64, len(insts)),
-	}
-	name := fmt.Sprintf("attack.%s.L%d", pcfg.Name, layer)
-	if sd != 0 {
-		name += fmt.Sprintf(".noise%g", sd)
-	}
-	err := s.sweep(name, len(insts), func(fold int) error {
-		res.RadiusNorm[fold] = -1
-		ev, radius, err := s.runFold(pcfg, layer, sd, insts, fold)
-		if err != nil {
-			return err
-		}
-		res.Evals[fold] = ev
-		res.RadiusNorm[fold] = radius
-		return nil
-	})
-	res.TotalDur = time.Since(start)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s at layer %d: %w", pcfg.Name, layer, err)
-	}
-	return res, nil
-}
-
-// runFold runs one leave-one-out fold, serving it from (and saving it to)
-// the checkpoint when the suite has one.
-func (s *Suite) runFold(pcfg attack.Config, layer int, sd float64,
-	insts []*attack.Instance, fold int) (*attack.Evaluation, float64, error) {
-
-	if s.Checkpoint != nil {
-		ev, radius, _, err := sweep.RunUnit(s.Obs, s.Checkpoint, s.unit(pcfg, layer, sd, fold), pcfg, insts)
-		return ev, radius, err
-	}
-	return attack.RunTarget(pcfg, insts, fold)
-}
-
-// unit builds the sweep work unit of one fold. Every configuration is
-// content-addressable — learner families serialize their identity into
-// OptionsHash — so every fold has a unit.
-func (s *Suite) unit(pcfg attack.Config, layer int, sd float64, fold int) sweep.Unit {
-	return sweep.Unit{
-		Prov:   s.provenance(),
-		Config: pcfg.Name,
-		Spec:   pcfg.OptionsHash(),
-		Layer:  layer,
-		Noise:  sd,
-		Fold:   fold,
-		Design: s.Designs[fold].Name,
-	}
+	return s.RunNoisy(cfg, layer, 0)
 }
 
 // RunPA executes (and caches) the validation-based proximity attack of cfg
 // at the given split layer, optionally on noise-obfuscated challenges
 // (sd > 0, as a fraction of die height).
 func (s *Suite) RunPA(cfg attack.Config, layer int, sd float64) ([]attack.PAOutcome, error) {
-	key := fmt.Sprintf("%s@%d/%g", cfg.Name, layer, sd)
-	s.mu.Lock()
-	if o, ok := s.pa[key]; ok {
-		s.mu.Unlock()
-		s.cacheLookup(true)
-		return o, nil
-	}
-	s.mu.Unlock()
-	s.cacheLookup(false)
-
-	insts, err := s.Instances(layer, sd)
-	if err != nil {
-		return nil, err
-	}
-	// Reuse the cached attack run's candidate lists; only the PA-LoC
-	// validation stage is new work.
-	var prior *attack.Result
-	if sd == 0 {
-		if prior, err = s.Run(cfg, layer); err != nil {
+	return memo(s, s.pa, fmt.Sprintf("%s@%d/%g", cfg.Name, layer, sd), func() ([]attack.PAOutcome, error) {
+		insts, err := s.Instances(layer, sd)
+		if err != nil {
 			return nil, err
 		}
-	} else {
-		if prior, err = s.RunNoisy(cfg, layer, sd); err != nil {
+		// Reuse the cached attack run's candidate lists; only the PA-LoC
+		// validation stage is new work.
+		prior, err := s.RunNoisy(cfg, layer, sd)
+		if err != nil {
 			return nil, err
 		}
-	}
-	o, err := attack.RunProximity(s.prepare(cfg), insts, prior)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.pa[key] = o
-	s.mu.Unlock()
-	return o, nil
+		return attack.RunProximity(s.prepare(cfg), insts, prior)
+	})
 }
 
-// RunNoisy executes (and caches) a leave-one-out run on noise-obfuscated
-// challenges.
+// RunNoisy executes (and caches) a leave-one-out run on challenges with
+// y-noise of standard deviation sd (0 = clean) through the sweep driver:
+// every fold is served from (and saved to) the suite's checkpoint when it
+// has one, and the result is bit-identical to attack.Run either way.
 func (s *Suite) RunNoisy(cfg attack.Config, layer int, sd float64) (*attack.Result, error) {
-	if sd == 0 {
-		return s.Run(cfg, layer)
-	}
-	key := fmt.Sprintf("%s@%d/noise%g", cfg.Name, layer, sd)
-	s.mu.Lock()
-	if r, ok := s.runs[key]; ok {
-		s.mu.Unlock()
-		s.cacheLookup(true)
+	return memo(s, s.runs, fmt.Sprintf("%s@%d/%g", cfg.Name, layer, sd), func() (*attack.Result, error) {
+		insts, err := s.Instances(layer, sd)
+		if err != nil {
+			return nil, err
+		}
+		r, err := sweep.RunFolds(context.Background(), s.Obs, s.Checkpoint, s.provenance(), sd, s.prepare(cfg), insts)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s at layer %d: %w", cfg.Name, layer, err)
+		}
 		return r, nil
-	}
-	s.mu.Unlock()
-	s.cacheLookup(false)
-
-	insts, err := s.Instances(layer, sd)
-	if err != nil {
-		return nil, err
-	}
-	r, err := s.runFolds(cfg, layer, sd, insts)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.runs[key] = r
-	s.mu.Unlock()
-	return r, nil
+	})
 }
 
-// sweep runs fn for every index in 0..n-1 on a bounded pool (suite worker
-// bound capped at n) and joins the per-index errors, tracking live progress
-// under "sweep.<name>". Each index's work is deterministic on its own, so
-// the sweep result does not depend on the worker count.
-func (s *Suite) sweep(name string, n int, fn func(i int) error) error {
-	prog := s.Obs.NewProgress("sweep."+name, int64(n))
+// memo returns m[key], computing it with fn on a miss and caching a
+// successful result; lookups land on the suite.cache counters. Concurrent
+// misses may both compute: a value depends only on its key.
+func memo[K comparable, V any](s *Suite, m map[K]V, key K, fn func() (V, error)) (V, error) {
+	s.mu.Lock()
+	v, ok := m[key]
+	s.mu.Unlock()
+	s.cacheLookup(ok)
+	if ok {
+		return v, nil
+	}
+	v, err := fn()
+	if err != nil {
+		return v, err
+	}
+	s.mu.Lock()
+	m[key] = v
+	s.mu.Unlock()
+	return v, nil
+}
+
+// sweepConfigs runs run for every configuration on the suite's worker
+// pool, tracking live progress under "sweep.<name>", and joins the errors.
+// Results are position-matched to cfgs. Each configuration's run is
+// deterministic on its own, so the result does not depend on the worker
+// count.
+func sweepConfigs[T any](s *Suite, name string, cfgs []attack.Config, run func(attack.Config) (T, error)) ([]T, error) {
+	prog := s.Obs.NewProgress("sweep."+name, int64(len(cfgs)))
 	defer prog.Finish()
-	errs := make([]error, n)
-	par.For(n, s.Workers, func(_, i int) {
-		errs[i] = fn(i)
+	out := make([]T, len(cfgs))
+	errs := make([]error, len(cfgs))
+	par.For(len(cfgs), s.Workers, func(_, i int) {
+		out[i], errs[i] = run(cfgs[i])
 		prog.Add(1)
 	})
-	return errors.Join(errs...)
+	return out, errors.Join(errs...)
 }
 
 // RunAll executes (and caches) the leave-one-out attack runs of all
@@ -415,13 +322,8 @@ func (s *Suite) sweep(name string, n int, fn func(i int) error) error {
 // to len(cfgs) sequential Run calls; table experiments use this to
 // prefetch every column before printing.
 func (s *Suite) RunAll(cfgs []attack.Config, layer int) ([]*attack.Result, error) {
-	out := make([]*attack.Result, len(cfgs))
-	err := s.sweep(fmt.Sprintf("configs.L%d", layer), len(cfgs), func(i int) error {
-		r, err := s.Run(cfgs[i], layer)
-		out[i] = r
-		return err
-	})
-	return out, err
+	return sweepConfigs(s, fmt.Sprintf("configs.L%d", layer), cfgs,
+		func(cfg attack.Config) (*attack.Result, error) { return s.Run(cfg, layer) })
 }
 
 // RunPAAll executes (and caches) the validation-based proximity attacks of
@@ -429,38 +331,28 @@ func (s *Suite) RunAll(cfgs []attack.Config, layer int) ([]*attack.Result, error
 // configs across the suite's worker pool. Results are position-matched to
 // cfgs and identical to sequential RunPA calls.
 func (s *Suite) RunPAAll(cfgs []attack.Config, layer int, sd float64) ([][]attack.PAOutcome, error) {
-	out := make([][]attack.PAOutcome, len(cfgs))
-	err := s.sweep(fmt.Sprintf("pa.L%d", layer), len(cfgs), func(i int) error {
-		o, err := s.RunPA(cfgs[i], layer, sd)
-		out[i] = o
-		return err
-	})
-	return out, err
+	return sweepConfigs(s, fmt.Sprintf("pa.L%d", layer), cfgs,
+		func(cfg attack.Config) ([]attack.PAOutcome, error) { return s.RunPA(cfg, layer, sd) })
 }
 
 // nnPA returns the nearest-neighbour PA success of design d at the given
 // layer, cached per layer.
 func (s *Suite) nnPA(layer, d int) float64 {
-	s.mu.Lock()
-	if v, ok := s.nn[layer]; ok {
-		s.mu.Unlock()
-		s.cacheLookup(true)
-		return v[d]
-	}
-	s.mu.Unlock()
-	s.cacheLookup(false)
-	chs, err := s.Challenges(layer)
+	v, err := memo(s, s.nn, layer, func() ([]float64, error) {
+		chs, err := s.Challenges(layer)
+		if err != nil {
+			return nil, err
+		}
+		v := make([]float64, len(chs))
+		rng := rand.New(rand.NewSource(s.Seed + int64(layer)))
+		for i, ch := range chs {
+			v[i] = priorwork.NearestNeighborPA(ch, rng)
+		}
+		return v, nil
+	})
 	if err != nil {
 		return 0
 	}
-	v := make([]float64, len(chs))
-	rng := rand.New(rand.NewSource(s.Seed + int64(layer)))
-	for i, ch := range chs {
-		v[i] = priorwork.NearestNeighborPA(ch, rng)
-	}
-	s.mu.Lock()
-	s.nn[layer] = v
-	s.mu.Unlock()
 	return v[d]
 }
 

@@ -1,9 +1,8 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"strings"
-	"sync"
 
 	"repro/internal/attack"
 	"repro/internal/ml"
@@ -99,21 +98,14 @@ func crossLayers(configs []attack.Config, layers []int) []RunSpec {
 	return out
 }
 
-// PlanUnit is one entry of an executable plan: the sweep work unit plus the
-// prepared configuration that computes it.
-type PlanUnit struct {
-	Unit   sweep.Unit
-	Config attack.Config
-}
-
 // PlanRuns expands run specs into the suite's work units: one unit per
 // (spec × fold), deduplicated across specs (experiments share runs — Tables
 // IV and V and Fig. 9 all consume the same sweeps). Every configuration is
 // content-addressable — learner families serialize their identity into
 // OptionsHash — so every spec plans. Enumeration is deterministic: same
 // suite, same specs, same plan.
-func (s *Suite) PlanRuns(runs []RunSpec) []PlanUnit {
-	var units []PlanUnit
+func (s *Suite) PlanRuns(runs []RunSpec) []sweep.Task {
+	var units []sweep.Task
 	seen := map[string]bool{}
 	for _, r := range runs {
 		pcfg := s.prepare(r.Config)
@@ -123,7 +115,8 @@ func (s *Suite) PlanRuns(runs []RunSpec) []PlanUnit {
 		}
 		seen[runKey] = true
 		for fold := range s.Designs {
-			units = append(units, PlanUnit{Unit: s.unit(pcfg, r.Layer, r.Noise, fold), Config: pcfg})
+			u := sweep.NewUnit(s.provenance(), pcfg, r.Layer, r.Noise, fold, s.Designs[fold].Name)
+			units = append(units, sweep.Task{Unit: u, Config: pcfg})
 		}
 	}
 	return units
@@ -133,7 +126,7 @@ func (s *Suite) PlanRuns(runs []RunSpec) []PlanUnit {
 // their Deps and expanding with PlanRuns. Experiments without Deps (pure
 // feature figures, out-of-suite defense variants) contribute nothing: their
 // rendering work always happens in the merge process.
-func (s *Suite) Plan(exps []Experiment) []PlanUnit {
+func (s *Suite) Plan(exps []Experiment) []sweep.Task {
 	var runs []RunSpec
 	for _, e := range exps {
 		if e.Deps != nil {
@@ -143,75 +136,12 @@ func (s *Suite) Plan(exps []Experiment) []PlanUnit {
 	return s.PlanRuns(runs)
 }
 
-// PlanStats summarises a RunPlan execution.
-type PlanStats struct {
-	// Planned is the total unit count of the plan, across all shards.
-	Planned int
-	// Owned is how many units this suite's shard was responsible for.
-	Owned int
-	// Computed units ran the attack engine (includes Recomputed).
-	Computed int
-	// Loaded units were served from valid checkpoint files.
-	Loaded int
-	// Recomputed units had a corrupt checkpoint file discarded first.
-	Recomputed int
-}
-
-// String renders the stats for command output.
-func (st PlanStats) String() string {
-	return fmt.Sprintf("planned=%d owned=%d computed=%d loaded=%d recomputed=%d",
-		st.Planned, st.Owned, st.Computed, st.Loaded, st.Recomputed)
-}
-
 // RunPlan executes the units of the plan that the suite's Shard owns,
-// checkpointing every completed fold. It is the shard worker's entry point:
-// enumerate (Plan), filter by ownership, compute-or-skip each unit, and exit
-// — rendering happens later, in a merge run that loads the union of all
-// shards' partials. Requires a Checkpoint (a sharded run without one would
-// compute results and throw them away).
-func (s *Suite) RunPlan(units []PlanUnit) (PlanStats, error) {
-	st := PlanStats{Planned: len(units)}
-	if s.Checkpoint == nil {
-		return st, fmt.Errorf("experiments: RunPlan needs a checkpoint directory to write partial results to")
-	}
-	if err := s.Shard.Validate(); err != nil {
-		return st, err
-	}
-	var owned []PlanUnit
-	for _, u := range units {
-		if s.Shard.Owns(u.Unit.Key()) {
-			owned = append(owned, u)
-		}
-	}
-	st.Owned = len(owned)
-
-	name := "shard"
-	if sh := s.Shard.String(); sh != "" {
-		name = "shard." + strings.ReplaceAll(sh, "/", "of")
-	}
-	var mu sync.Mutex
-	err := s.sweep(name, len(owned), func(i int) error {
-		u := owned[i]
-		insts, err := s.Instances(u.Unit.Layer, u.Unit.Noise)
-		if err != nil {
-			return err
-		}
-		_, _, outcome, err := sweep.RunUnit(s.Obs, s.Checkpoint, u.Unit, u.Config, insts)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		switch outcome {
-		case sweep.Loaded:
-			st.Loaded++
-		case sweep.Recomputed:
-			st.Recomputed++
-			st.Computed++
-		default:
-			st.Computed++
-		}
-		mu.Unlock()
-		return nil
-	})
-	return st, err
+// checkpointing every completed fold (see sweep.RunOwned). It is the shard
+// worker's entry point: enumerate (Plan), filter by ownership,
+// compute-or-skip each unit, and exit — rendering happens later, in a merge
+// run that loads the union of all shards' partials. Requires a Checkpoint.
+func (s *Suite) RunPlan(units []sweep.Task) (sweep.Stats, error) {
+	return sweep.RunOwned(context.Background(), s.Obs, s.Checkpoint, s.Shard, s.Workers, units,
+		func(u sweep.Unit) ([]*attack.Instance, error) { return s.Instances(u.Layer, u.Noise) })
 }

@@ -84,6 +84,19 @@ func ServeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
+// Connection limits of the telemetry and splitserved HTTP servers: a client
+// that never finishes its headers, or idles on keep-alive, is dropped
+// instead of pinning a connection and its goroutine forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns an http.Server for h with those limits.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // Server is a running live telemetry HTTP server.
 type Server struct {
 	srv *http.Server
@@ -102,7 +115,7 @@ func (o *Context) Serve(addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: serve: %w", err)
 	}
-	s := &Server{srv: &http.Server{Handler: o.Handler()}, ln: ln}
+	s := &Server{srv: NewHTTPServer(o.Handler()), ln: ln}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve always returns ErrServerClosed on Close
 	return s, nil
 }

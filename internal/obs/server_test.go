@@ -131,6 +131,28 @@ func TestServeBadAddress(t *testing.T) {
 	}
 }
 
+// TestServeConnectionTimeouts: the telemetry server drops clients that
+// never finish their headers or idle on keep-alive connections, so a slow
+// client cannot pin a connection and its goroutine forever. splitserved
+// builds its server through the same NewHTTPServer.
+func TestServeConnectionTimeouts(t *testing.T) {
+	o := New(Options{Command: "test"})
+	s, err := o.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.srv.ReadHeaderTimeout; got != readHeaderTimeout || got <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", got, readHeaderTimeout)
+	}
+	if got := s.srv.IdleTimeout; got != idleTimeout || got <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", got, idleTimeout)
+	}
+	if code, _, _ := get(t, "http://"+s.Addr()+"/healthz"); code != http.StatusOK {
+		t.Errorf("/healthz status %d with timeouts set", code)
+	}
+}
+
 // TestServerConcurrentWithRun hammers the registry, span tree, trace
 // recorder, and progress trackers from worker goroutines while others
 // scrape every live endpoint — the -race CI job turns any unsynchronized

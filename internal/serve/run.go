@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,7 +9,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/sweep"
 )
 
@@ -179,18 +177,19 @@ func (s *Server) runAttack(ctx context.Context, job *Job, spec JobSpec,
 }
 
 // runSweep runs the leave-one-out sweep of every configuration, checking
-// for cancellation between configurations. A full sweep (no shard/of)
-// computes — or, when the server has a checkpoint, loads — every fold and
-// returns per-configuration aggregates; a sharded sweep computes only the
-// work units its partition owns into the checkpoint and returns unit
-// statistics, leaving aggregation to a later full sweep job.
+// for cancellation between configurations and before every fold. A full
+// sweep (no shard/of) computes — or, when the server has a checkpoint,
+// loads — every fold and returns per-configuration aggregates; a sharded
+// sweep computes only the work units its partition owns into the
+// checkpoint and returns unit statistics, leaving aggregation to a later
+// full sweep job. Both go through the sweep driver the experiments CLI
+// uses, so their units are interchangeable.
 func (s *Server) runSweep(ctx context.Context, job *Job, spec JobSpec,
 	insts []*attack.Instance, prog *obs.Progress) (*SweepResult, error) {
 
 	res := &SweepResult{Layer: spec.Layer, Shard: spec.Shard, Of: spec.Of}
-	sh := sweep.Shard{Index: spec.Shard, Count: spec.Of}
-	sharded := spec.Of > 0
-	var stats UnitStats
+	prov := sweep.Provenance{Tier: spec.Tier, Scale: spec.Scale, Seed: *spec.Seed}
+	var plan []sweep.Task
 	for i, cs := range spec.Configs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -200,119 +199,39 @@ func (s *Server) runSweep(ctx context.Context, job *Job, spec JobSpec,
 			return nil, err
 		}
 		cfg = s.engineCfg(cfg, spec)
-		s.setStage(job, fmt.Sprintf("sweep %d/%d: %s", i+1, len(spec.Configs), cfg.Name))
-		if sharded {
-			err = s.sweepShardConfig(ctx, spec, cfg, sh, insts, &stats)
-		} else {
-			var cr *SweepConfigResult
-			if cr, err = s.sweepConfig(ctx, spec, cfg, insts); err == nil {
-				res.Configs = append(res.Configs, *cr)
+		if spec.Of > 0 {
+			for fold, inst := range insts {
+				u := sweep.NewUnit(prov, cfg, spec.Layer, 0, fold, inst.Ch.Design.Name)
+				plan = append(plan, sweep.Task{Unit: u, Config: cfg})
 			}
+			continue
 		}
+		s.setStage(job, fmt.Sprintf("sweep %d/%d: %s", i+1, len(spec.Configs), cfg.Name))
+		r, err := sweep.RunFolds(ctx, s.o, s.ck, prov, 0, cfg, insts)
 		if err != nil {
 			return nil, err
 		}
+		res.Configs = append(res.Configs, sweepConfigResult(r))
 		prog.Add(1)
 	}
-	if sharded {
-		res.Units = &stats
+	if spec.Of > 0 {
+		// normalize guarantees a sharded job's server has a checkpoint.
+		s.setStage(job, fmt.Sprintf("sweep shard %d/%d", spec.Shard, spec.Of))
+		st, err := sweep.RunOwned(ctx, s.o, s.ck, sweep.Shard{Index: spec.Shard, Count: spec.Of},
+			s.opts.Workers, plan, func(sweep.Unit) ([]*attack.Instance, error) { return insts, nil })
+		if err != nil {
+			return nil, err
+		}
+		res.Units = &UnitStats{Owned: st.Owned, Done: st.Computed, Skipped: st.Loaded, Recomputed: st.Recomputed}
+		prog.Add(int64(len(spec.Configs)))
 	}
 	return res, nil
 }
 
-// sweepUnit builds the work unit of one sweep fold. Its key is identical to
-// the unit an `experiments -shard` worker builds at the same (tier, scale,
-// seed, config, layer, fold) coordinates, so server jobs and CLI shards can
-// split one sweep through a shared checkpoint directory.
-func sweepUnit(spec JobSpec, cfg attack.Config, fold int, insts []*attack.Instance) (sweep.Unit, bool) {
-	h := cfg.OptionsHash()
-	if h == "" {
-		return sweep.Unit{}, false
-	}
-	return sweep.Unit{
-		Prov:   sweep.Provenance{Tier: spec.Tier, Scale: spec.Scale, Seed: *spec.Seed},
-		Config: cfg.Name,
-		Spec:   h,
-		Layer:  spec.Layer,
-		Fold:   fold,
-		Design: insts[fold].Ch.Design.Name,
-	}, true
-}
-
-// sweepShardConfig computes the owned folds of one configuration into the
-// server's checkpoint (normalize guarantees one exists for sharded jobs),
-// accumulating unit statistics.
-func (s *Server) sweepShardConfig(ctx context.Context, spec JobSpec, cfg attack.Config,
-	sh sweep.Shard, insts []*attack.Instance, stats *UnitStats) error {
-
-	for fold := range insts {
-		u, ok := sweepUnit(spec, cfg, fold, insts)
-		if !ok || !sh.Owns(u.Key()) {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		stats.Owned++
-		_, _, outcome, err := sweep.RunUnit(s.o, s.ck, u, cfg, insts)
-		if err != nil {
-			return err
-		}
-		switch outcome {
-		case sweep.Loaded:
-			stats.Skipped++
-		case sweep.Recomputed:
-			stats.Recomputed++
-			stats.Done++
-		default:
-			stats.Done++
-		}
-	}
-	return nil
-}
-
-// sweepConfig runs one configuration's full leave-one-out sweep, fanning
-// folds across a bounded pool (like attack.Run) and serving each fold from
-// the server's checkpoint when it has one — the merge path recombining
-// partials that sharded jobs or CLI shards computed. Results are
-// bit-identical to attack.Run at any pool size and any mix of loaded and
-// computed folds.
-func (s *Server) sweepConfig(ctx context.Context, spec JobSpec, cfg attack.Config,
-	insts []*attack.Instance) (*SweepConfigResult, error) {
-
-	start := time.Now()
-	r := &attack.Result{
-		Config:     cfg,
-		Evals:      make([]*attack.Evaluation, len(insts)),
-		RadiusNorm: make([]float64, len(insts)),
-	}
-	errs := make([]error, len(insts))
-	par.For(len(insts), s.opts.Workers, func(_, fold int) {
-		r.RadiusNorm[fold] = -1
-		if errs[fold] = ctx.Err(); errs[fold] != nil {
-			return
-		}
-		var ev *attack.Evaluation
-		var radius float64
-		var err error
-		if u, ok := sweepUnit(spec, cfg, fold, insts); ok && s.ck != nil {
-			ev, radius, _, err = sweep.RunUnit(s.o, s.ck, u, cfg, insts)
-		} else {
-			ev, radius, err = attack.RunTarget(cfg, insts, fold)
-		}
-		if err != nil {
-			errs[fold] = err
-			return
-		}
-		r.Evals[fold] = ev
-		r.RadiusNorm[fold] = radius
-	})
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	r.TotalDur = time.Since(start)
-	cr := &SweepConfigResult{
-		Config:      cfg.Name,
+// sweepConfigResult summarises one configuration's leave-one-out result.
+func sweepConfigResult(r *attack.Result) SweepConfigResult {
+	cr := SweepConfigResult{
+		Config:      r.Config.Name,
 		MeanTrainNS: int64(r.MeanTrainDur()),
 		MeanTestNS:  int64(r.MeanTestDur()),
 	}
@@ -327,5 +246,5 @@ func (s *Server) sweepConfig(ctx context.Context, spec JobSpec, cfg attack.Confi
 	for _, pt := range attack.Curve(r.Evals, attack.CurveFractions()) {
 		cr.Curve = append(cr.Curve, CurvePoint{LoCFrac: pt.LoCFrac, Accuracy: pt.Accuracy})
 	}
-	return cr, nil
+	return cr
 }

@@ -7,7 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/attack"
+	"repro/internal/experiments"
+	"repro/internal/layout"
 	"repro/internal/obs"
+	"repro/internal/sweep"
 )
 
 // sweepSpec is the canonical tiny sweep job of the shard tests: one cheap
@@ -106,6 +110,71 @@ func TestServeShardedSweepMerge(t *testing.T) {
 		if got.Designs[i].EvalDigest != want.Designs[i].EvalDigest {
 			t.Errorf("design %s: merged digest %s != direct %s",
 				want.Designs[i].Design, got.Designs[i].EvalDigest, want.Designs[i].EvalDigest)
+		}
+	}
+}
+
+// runSweepJob submits spec, waits for it, and returns its sweep result.
+func runSweepJob(t *testing.T, s *Server, spec JobSpec) *SweepResult {
+	t.Helper()
+	job, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, job, 10*time.Minute)
+	if st := s.Status(job); st.State != StateDone {
+		t.Fatalf("sweep job state %s, error %q", st.State, st.Error)
+	}
+	res, _ := s.Result(job)
+	if res.Sweep == nil {
+		t.Fatal("sweep job returned no sweep result")
+	}
+	return res.Sweep
+}
+
+// TestShardCLIUnitsServeMerge is the cross-tool half of the sharded-sweep
+// contract: folds an `experiments -shard` worker computes (Suite.RunPlan)
+// land under the same unit keys a server sweep job builds, so a server
+// sharing the checkpoint directory loads every fold instead of computing
+// it, and reproduces a checkpoint-less server's digests.
+func TestShardCLIUnitsServeMerge(t *testing.T) {
+	ckDir := t.TempDir()
+	suite, err := experiments.NewSuiteTier(nil, layout.TierStandard, testScale, testSeed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if suite.Checkpoint, err = sweep.Open(ckDir); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := suite.RunPlan(suite.PlanRuns([]experiments.RunSpec{{Config: attack.ML9(), Layer: 8}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Planned == 0 || stats.Computed != stats.Planned {
+		t.Fatalf("CLI plan %s; want every unit computed", stats)
+	}
+
+	o := obs.New(obs.Options{Command: "serve-test"})
+	s := newTestServer(t, Options{Obs: o, Pool: 1, CheckpointDir: ckDir})
+	got := runSweepJob(t, s, sweepSpec(0, 0))
+	if len(got.Configs) != 1 {
+		t.Fatalf("merge job returned %d config aggregates, want 1", len(got.Configs))
+	}
+	folds := len(got.Configs[0].Designs)
+	if folds != stats.Planned {
+		t.Fatalf("server sweep has %d folds, CLI planned %d", folds, stats.Planned)
+	}
+	if n := o.Metrics().Counter("sweep.units.skipped").Value(); n != int64(folds) {
+		t.Errorf("server loaded %d CLI-computed units, want all %d", n, folds)
+	}
+	if n := o.Metrics().Counter("sweep.units.done").Value(); n != 0 {
+		t.Errorf("server computed %d units the CLI had already checkpointed", n)
+	}
+
+	want := runSweepJob(t, newTestServer(t, Options{Pool: 1}), sweepSpec(0, 0)).Configs[0]
+	for i, d := range want.Designs {
+		if g := got.Configs[0].Designs[i]; g.EvalDigest != d.EvalDigest {
+			t.Errorf("design %s: digest %s from CLI units, %s computed by the server", d.Design, g.EvalDigest, d.EvalDigest)
 		}
 	}
 }

@@ -13,6 +13,11 @@
 // fold), which makes the checkpoint content-addressed: a shard resumes by
 // skipping keys that already have valid unit files, and a merge is just
 // loading every key of the plan.
+//
+// The package is the one leave-one-out driver of the CLI, the experiment
+// suite and the job server: NewUnit keys every fold, RunUnit and RunFolds
+// load or compute-and-save folds on attack's fold loop, and RunOwned runs
+// the units a shard owns.
 package sweep
 
 import (
