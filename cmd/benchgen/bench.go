@@ -9,9 +9,8 @@ import (
 	"time"
 
 	"repro/internal/attack"
-	"repro/internal/layout"
+	"repro/internal/experiments"
 	"repro/internal/model"
-	"repro/internal/split"
 )
 
 // benchSplitLayer is the split layer both perf baselines are measured at.
@@ -105,24 +104,11 @@ type trainBenchEntry struct {
 	Trees   int     `json:"trees"`
 }
 
-// benchChallenges cuts every design at the baseline split layer.
-func benchChallenges(designs []*layout.Design) ([]*split.Challenge, error) {
-	chs := make([]*split.Challenge, 0, len(designs))
-	for _, d := range designs {
-		c, err := split.NewChallenge(d, benchSplitLayer)
-		if err != nil {
-			return nil, err
-		}
-		chs = append(chs, c)
-	}
-	return chs, nil
-}
-
 // measureScoring trains and scores one leave-one-out target per standard
-// configuration at the baseline split layer, once through the scalar oracle
-// and once through the batched arena path.
-func measureScoring(designs []*layout.Design, scale float64, seed int64) (*scoringDoc, error) {
-	chs, err := benchChallenges(designs)
+// configuration at the baseline split layer of the suite, once through the
+// scalar oracle and once through the batched arena path.
+func measureScoring(s *experiments.Suite) (*scoringDoc, error) {
+	chs, err := s.Challenges(benchSplitLayer)
 	if err != nil {
 		return nil, err
 	}
@@ -142,11 +128,13 @@ func measureScoring(designs []*layout.Design, scale float64, seed int64) (*scori
 	configs := []attack.Config{attack.ML9(), attack.Imp11(), twoLevel}
 	entries := make([]scoringBenchEntry, 0, len(configs))
 	for _, cfg := range configs {
-		cfg.Seed = seed
+		cfg.Seed = s.Seed
 		entry := scoringBenchEntry{Config: cfg.Name}
 		for _, scalar := range []bool{true, false} {
 			c := cfg
 			c.ScalarScoring = scalar
+			// Instances are built inside the measured region on purpose:
+			// the gated mallocs-per-pair ratios count their preparation.
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			ev, _, err := attack.RunTarget(c, attack.NewInstancesWorkers(chs, c.Workers), 0)
@@ -171,7 +159,7 @@ func measureScoring(designs []*layout.Design, scale float64, seed int64) (*scori
 		entries = append(entries, entry)
 	}
 	return &scoringDoc{
-		Scale: scale, Seed: seed, SplitLayer: benchSplitLayer,
+		Scale: s.Scale, Seed: s.Seed, SplitLayer: benchSplitLayer,
 		InstancePrep: instancePrepDoc{
 			Designs:    len(chs),
 			SerialNs:   serialNs,
@@ -185,19 +173,18 @@ func measureScoring(designs []*layout.Design, scale float64, seed int64) (*scori
 // measureTrain measures the train-once/score-many trade for fold 0 at the
 // baseline split layer: a cold in-process train, the artifact codec
 // round-trip, and a Store miss/hit pair, per standard configuration.
-func measureTrain(designs []*layout.Design, scale float64, seed int64) (*trainDoc, error) {
-	chs, err := benchChallenges(designs)
+func measureTrain(s *experiments.Suite) (*trainDoc, error) {
+	insts, err := s.Instances(benchSplitLayer, 0)
 	if err != nil {
 		return nil, err
 	}
-	insts := attack.NewInstancesWorkers(chs, 0)
 
 	twoLevel := attack.WithTwoLevel(attack.Imp11())
 	twoLevel.Name += "-2L"
 	configs := []attack.Config{attack.Imp11(), twoLevel}
 	entries := make([]trainBenchEntry, 0, len(configs))
 	for _, cfg := range configs {
-		cfg.Seed = seed
+		cfg.Seed = s.Seed
 		spec, _, err := attack.TrainSpec(cfg, insts, 0)
 		if err != nil {
 			return nil, fmt.Errorf("train bench %s: %w", cfg.Name, err)
@@ -255,7 +242,7 @@ func measureTrain(designs []*layout.Design, scale float64, seed int64) (*trainDo
 		})
 	}
 	return &trainDoc{
-		Scale: scale, Seed: seed, SplitLayer: benchSplitLayer, Fold: 0,
+		Scale: s.Scale, Seed: s.Seed, SplitLayer: benchSplitLayer, Fold: 0,
 		Configs: entries,
 	}, nil
 }

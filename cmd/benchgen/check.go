@@ -25,7 +25,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 
+	"repro/internal/experiments"
 	"repro/internal/layout"
 	"repro/internal/obs"
 )
@@ -102,29 +104,6 @@ func loadBaseline(path string, doc any) error {
 	return nil
 }
 
-// checkSuite generates (or reuses) the benchmark suite at the baseline's
-// coordinates.
-type suiteCache struct {
-	o       *obs.Context
-	workers int
-	scale   float64
-	seed    int64
-	designs []*layout.Design
-}
-
-func (sc *suiteCache) get(scale float64, seed int64) ([]*layout.Design, error) {
-	if sc.designs != nil && sc.scale == scale && sc.seed == seed {
-		return sc.designs, nil
-	}
-	designs, err := layout.GenerateSuiteObs(sc.o, layout.SuiteConfig{
-		Scale: scale, Seed: seed, Workers: sc.workers})
-	if err != nil {
-		return nil, err
-	}
-	sc.scale, sc.seed, sc.designs = scale, seed, designs
-	return designs, nil
-}
-
 // runCheck loads both baselines, reruns their measurements at the
 // baselines' own (scale, seed), gates every field, and returns an error
 // listing the violations, if any.
@@ -132,20 +111,19 @@ func runCheck(o *obs.Context, workers int, scoringPath, trainPath string, tol fl
 	if tol <= 0 || tol >= 1 {
 		return fmt.Errorf("benchgen -check: -tolerance %g out of range (0, 1)", tol)
 	}
-	suite := &suiteCache{o: o, workers: workers}
 	chk := &checker{}
 
 	var scoringBase scoringDoc
 	if err := loadBaseline(scoringPath, &scoringBase); err != nil {
 		return err
 	}
-	designs, err := suite.get(scoringBase.Scale, scoringBase.Seed)
+	suite, err := experiments.NewSuiteTier(o, layout.TierStandard, scoringBase.Scale, scoringBase.Seed, workers)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("checking %s (scale %g, seed %d, tolerance %.0f%%)\n",
 		scoringPath, scoringBase.Scale, scoringBase.Seed, tol*100)
-	cur, err := measureScoring(designs, scoringBase.Scale, scoringBase.Seed)
+	cur, err := measureScoring(suite)
 	if err != nil {
 		return err
 	}
@@ -169,13 +147,16 @@ func runCheck(o *obs.Context, workers int, scoringPath, trainPath string, tol fl
 	if err := loadBaseline(trainPath, &trainBase); err != nil {
 		return err
 	}
-	designs, err = suite.get(trainBase.Scale, trainBase.Seed)
-	if err != nil {
-		return err
+	// Both baselines are normally measured on one suite, which then serves
+	// the training stage's instances from its cache.
+	if trainBase.Scale != suite.Scale || trainBase.Seed != suite.Seed {
+		if suite, err = experiments.NewSuiteTier(o, layout.TierStandard, trainBase.Scale, trainBase.Seed, workers); err != nil {
+			return err
+		}
 	}
 	fmt.Printf("checking %s (scale %g, seed %d, tolerance %.0f%%)\n",
 		trainPath, trainBase.Scale, trainBase.Seed, tol*100)
-	curTrain, err := measureTrain(designs, trainBase.Scale, trainBase.Seed)
+	curTrain, err := measureTrain(suite)
 	if err != nil {
 		return err
 	}
@@ -199,7 +180,7 @@ func runCheck(o *obs.Context, workers int, scoringPath, trainPath string, tol fl
 	if len(chk.violations) > 0 {
 		fmt.Printf("\nperf gate: %d of %d checks FAILED\n", len(chk.violations), chk.checks)
 		return fmt.Errorf("benchgen -check: %d regression(s):\n  %s",
-			len(chk.violations), joinLines(chk.violations))
+			len(chk.violations), strings.Join(chk.violations, "\n  "))
 	}
 	fmt.Printf("\nperf gate: all %d checks passed\n", chk.checks)
 	return nil
@@ -285,17 +266,6 @@ func trainConfigNames(entries []trainBenchEntry) []string {
 	out := make([]string, len(entries))
 	for i, e := range entries {
 		out[i] = e.Config
-	}
-	return out
-}
-
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
 	}
 	return out
 }

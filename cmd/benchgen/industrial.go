@@ -20,10 +20,10 @@ import (
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/experiments"
 	"repro/internal/layout"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/split"
 )
 
 const (
@@ -156,20 +156,16 @@ func measureIndustrial(o *obs.Context, workers int, scale float64, seed int64) (
 		workers = runtime.GOMAXPROCS(0)
 	}
 	t0 := time.Now()
-	designs, err := layout.GenerateSuiteObs(o, layout.SuiteConfig{
-		Tier: layout.TierIndustrial, Scale: scale, Seed: seed, Workers: workers})
+	suite, err := experiments.NewSuiteTier(o, layout.TierIndustrial, scale, seed, workers)
 	if err != nil {
 		return nil, nil, fmt.Errorf("industrial bench: %w", err)
 	}
 	genNs := time.Since(t0).Nanoseconds()
 
-	chs := make([]*split.Challenge, len(designs))
-	for i, d := range designs {
-		if chs[i], err = split.NewChallengeObs(o, d, benchSplitLayer); err != nil {
-			return nil, nil, fmt.Errorf("industrial bench: %w", err)
-		}
+	insts, err := suite.Instances(benchSplitLayer, 0)
+	if err != nil {
+		return nil, nil, fmt.Errorf("industrial bench: %w", err)
 	}
-	insts := attack.NewInstancesWorkers(chs, workers)
 	cfg := industrialConfig(seed, workers)
 
 	spec, _, err := attack.TrainSpec(cfg, insts, 0)
@@ -197,7 +193,7 @@ func measureIndustrial(o *obs.Context, workers int, scale float64, seed int64) (
 		return nil, nil, fmt.Errorf("industrial bench: %w", err)
 	}
 
-	target := designs[0]
+	target := suite.Designs[0]
 	scoring := &industrialScoringEntry{
 		Tier:       layout.TierIndustrial,
 		Scale:      scale,

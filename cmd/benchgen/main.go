@@ -24,9 +24,9 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/cli"
+	"repro/internal/experiments"
 	"repro/internal/layout"
 	"repro/internal/route"
-	"repro/internal/split"
 	"repro/internal/timing"
 )
 
@@ -60,11 +60,11 @@ func main() {
 		return
 	}
 
-	designs, err := layout.GenerateSuiteObs(o, layout.SuiteConfig{
-		Tier: app.Tier, Scale: app.Scale, Seed: app.Seed, Workers: app.Workers()})
+	suite, err := experiments.NewSuiteTier(o, app.Tier, app.Scale, app.Seed, app.Workers())
 	if err != nil {
 		cli.Fatal(err)
 	}
+	designs := suite.Designs
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			cli.Fatal(err)
@@ -87,7 +87,7 @@ func main() {
 	tw := tabwriter.NewWriter(os.Stdout, 2, 2, 2, ' ', 0)
 	fmt.Fprintln(tw, "design\tcells\tnets\tdie\tvpins@8\tvpins@6\tvpins@4\tmeanMatchDist@6")
 	designStats := []map[string]any{}
-	for _, d := range designs {
+	for di, d := range designs {
 		row := fmt.Sprintf("%s\t%d\t%d\t%dx%d", d.Name,
 			len(d.Netlist.Cells), len(d.Netlist.Nets), d.Die().Width(), d.Die().Height())
 		stats := map[string]any{
@@ -95,10 +95,11 @@ func main() {
 		}
 		var dist6 float64
 		for _, layer := range []int{8, 6, 4} {
-			ch, err := split.NewChallengeObs(o, d, layer)
+			chs, err := suite.Challenges(layer)
 			if err != nil {
 				cli.Fatal(err)
 			}
+			ch := chs[di]
 			row += fmt.Sprintf("\t%d", len(ch.VPins))
 			stats[fmt.Sprintf("vpins@%d", layer)] = len(ch.VPins)
 			if layer == 6 {
@@ -155,7 +156,7 @@ func main() {
 			float64(indScoring.PeakHeapBytes)/1e6, indScoring.EstimatedLooS)
 	}
 	if *scoringBench != "" {
-		doc, err := measureScoring(designs, app.Scale, app.Seed)
+		doc, err := measureScoring(suite)
 		if err != nil {
 			cli.Fatal(err)
 		}
@@ -166,7 +167,7 @@ func main() {
 		fmt.Printf("\nwrote scoring baseline to %s\n", *scoringBench)
 	}
 	if *trainBench != "" {
-		doc, err := measureTrain(designs, app.Scale, app.Seed)
+		doc, err := measureTrain(suite)
 		if err != nil {
 			cli.Fatal(err)
 		}

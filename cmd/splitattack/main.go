@@ -23,18 +23,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
 
 	"repro/internal/attack"
 	"repro/internal/cli"
+	"repro/internal/experiments"
 	"repro/internal/layout"
 	"repro/internal/ml"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/split"
 	"repro/internal/sweep"
 )
 
@@ -95,27 +96,20 @@ func prepare(fsName string, args []string, addFlags func(*flag.FlagSet)) *sessio
 	// store is free for the single-target run.
 	cfg.Models = app.ModelStore()
 
-	designs, err := layout.GenerateSuiteObs(o, layout.SuiteConfig{
-		Tier: app.Tier, Scale: app.Scale, Seed: app.Seed, Workers: app.Workers()})
+	suite, err := experiments.NewSuiteTier(o, app.Tier, app.Scale, app.Seed, app.Workers())
 	if err != nil {
 		cli.Fatal(err)
 	}
-	target := -1
-	chs := make([]*split.Challenge, len(designs))
-	for i, d := range designs {
-		if chs[i], err = split.NewChallengeObs(o, d, *layer); err != nil {
-			cli.Fatal(err)
-		}
-		if d.Name == *design {
-			target = i
-		}
-	}
+	target := slices.IndexFunc(suite.Designs, func(d *layout.Design) bool { return d.Name == *design })
 	if target < 0 {
 		cli.Usage("unknown design %q", *design)
 	}
 	// Instances (extractors + spatial indexes) are prepared once and shared
 	// by the attack and proximity stages.
-	insts := attack.NewInstancesWorkers(chs, app.Workers())
+	insts, err := suite.Instances(*layer, 0)
+	if err != nil {
+		cli.Fatal(err)
+	}
 	return &session{app: app, o: o, cfg: cfg, insts: insts, target: target,
 		layer: *layer, design: *design, base: cs.Base}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 
 	"repro/internal/attack"
 	"repro/internal/layout"
@@ -26,10 +25,11 @@ import (
 	"repro/internal/sweep"
 )
 
-// Suite is the generated benchmark suite plus caches of challenges and
-// attack results. A Suite is safe for concurrent use: caches are
-// mutex-guarded and attack results depend only on (Seed, config, layer),
-// never on which goroutine computed them.
+// Suite is the generated benchmark suite plus caches of challenges,
+// prepared instances and attack results. A Suite is safe for concurrent
+// use: every cache is a par.Memo, so concurrent requests for one key
+// compute it once, and attack results depend only on (Seed, config,
+// layer), never on which goroutine computed them.
 type Suite struct {
 	Designs []*layout.Design
 	// Tier is the suite tier the designs came from ("" means standard).
@@ -60,13 +60,12 @@ type Suite struct {
 	// computed and computing only what is missing.
 	Shard sweep.Shard
 
-	mu    sync.Mutex
-	chs   map[int][]*split.Challenge
-	insts map[string][]*attack.Instance
-	runs  map[string]*attack.Result
-	noisy map[string][]*split.Challenge
-	pa    map[string][]attack.PAOutcome
-	nn    map[int][]float64
+	chs   par.Memo[int, []*split.Challenge]
+	noisy par.Memo[coord, []*split.Challenge]
+	insts par.Memo[coord, []*attack.Instance]
+	runs  par.Memo[runKey, *attack.Result]
+	pa    par.Memo[runKey, []attack.PAOutcome]
+	nn    par.Memo[int, []float64]
 	// models caches trained artifacts per fold by spec content hash, so
 	// sweeps that retrain identical folds (threshold sweeps, two-level
 	// variants sharing a level-1 model) become cache hits; see
@@ -75,16 +74,29 @@ type Suite struct {
 	models *model.Store
 }
 
+// coord is a (split layer, y-noise) coordinate of the suite's challenges.
+type coord struct {
+	layer int
+	sd    float64
+}
+
+// runKey identifies one attack run of a named configuration.
+type runKey struct {
+	config string
+	coord
+}
+
 // NewSuiteTier generates the benchmark designs of a suite tier at the
 // given scale: "standard" for the five sb* benchmark designs, "industrial"
-// for the three 100k+-cell sbx* designs. The tier changes only which
-// designs are generated; every cache and attack path downstream is
-// tier-agnostic. o, when non-nil, instruments generation and every
-// subsequent suite operation. The designs are generated concurrently on up
-// to workers goroutines (0 = GOMAXPROCS), and the bound is inherited by
-// every attack run and config sweep started through the suite. Generation
-// is per-design deterministic, so the suite is identical at any worker
-// count.
+// for the three 100k+-cell sbx* designs. It is the one place a suite is
+// generated; the commands and the job server all cut and prepare through
+// the Suite it returns. The tier changes only which designs are generated;
+// every cache and attack path downstream is tier-agnostic. o, when
+// non-nil, instruments generation and every subsequent suite operation.
+// The designs are generated concurrently on up to workers goroutines (0 =
+// GOMAXPROCS), and the bound is inherited by every attack run and config
+// sweep started through the suite. Generation is per-design deterministic,
+// so the suite is identical at any worker count.
 func NewSuiteTier(o *obs.Context, tier string, scale float64, seed int64, workers int) (*Suite, error) {
 	designs, err := layout.GenerateSuiteObs(o, layout.SuiteConfig{Tier: tier, Scale: scale, Seed: seed, Workers: workers})
 	if err != nil {
@@ -101,14 +113,11 @@ func NewSuiteTier(o *obs.Context, tier string, scale float64, seed int64, worker
 // this to wire the -model-cache/-model-cache-dir flags in: with a shared
 // on-disk directory, concurrent shards (separate processes, even separate
 // machines) train each unique fold spec exactly once and load it everywhere
-// else. A nil store is ignored.
+// else. A nil store is ignored. Call it before the suite is shared.
 func (s *Suite) SetModelStore(st *model.Store) {
-	if st == nil {
-		return
+	if st != nil {
+		s.models = st
 	}
-	s.mu.Lock()
-	s.models = st
-	s.mu.Unlock()
 }
 
 // provenance pins the suite shape for sweep units.
@@ -120,48 +129,34 @@ func (s *Suite) provenance() sweep.Provenance {
 	return sweep.Provenance{Tier: tier, Scale: s.Scale, Seed: s.Seed}
 }
 
-// cacheLookup records a suite-cache outcome on the metrics registry.
-func (s *Suite) cacheLookup(hit bool) {
-	s.Obs.Metrics().Cache("suite.cache").Lookup(hit)
+// cached returns m's value for key, computing it with fn on a miss, and
+// records the lookup under the named cache counters (a caller that waited
+// for a concurrent computation counts as a hit).
+func cached[K comparable, V any](s *Suite, counter string, m *par.Memo[K, V], key K, fn func() (V, error)) (V, error) {
+	v, hit, err := m.Get(key, fn)
+	s.Obs.Metrics().Cache(counter).Lookup(hit)
+	return v, err
 }
 
 // NewSuiteFromDesigns wraps already-generated designs in a Suite with
 // fresh caches. The benchmark harness uses this to re-measure attack work
 // without re-generating layouts.
 func NewSuiteFromDesigns(designs []*layout.Design, scale float64, seed int64) *Suite {
-	return &Suite{
-		Designs: designs,
-		Scale:   scale,
-		Seed:    seed,
-		chs:     map[int][]*split.Challenge{},
-		insts:   map[string][]*attack.Instance{},
-		runs:    map[string]*attack.Result{},
-		noisy:   map[string][]*split.Challenge{},
-		pa:      map[string][]attack.PAOutcome{},
-		nn:      map[int][]float64{},
-		models:  model.NewStore(0, ""),
-	}
+	return &Suite{Designs: designs, Scale: scale, Seed: seed, models: model.NewStore(0, "")}
 }
 
 // Challenges returns (and caches) the challenges for a split layer.
 func (s *Suite) Challenges(layer int) ([]*split.Challenge, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if chs, ok := s.chs[layer]; ok {
-		s.cacheLookup(true)
-		return chs, nil
-	}
-	s.cacheLookup(false)
-	chs := make([]*split.Challenge, 0, len(s.Designs))
-	for _, d := range s.Designs {
-		c, err := split.NewChallengeObs(s.Obs, d, layer)
-		if err != nil {
-			return nil, err
+	return cached(s, "suite.cache", &s.chs, layer, func() ([]*split.Challenge, error) {
+		chs := make([]*split.Challenge, len(s.Designs))
+		for i, d := range s.Designs {
+			var err error
+			if chs[i], err = split.NewChallengeObs(s.Obs, d, layer); err != nil {
+				return nil, err
+			}
 		}
-		chs = append(chs, c)
-	}
-	s.chs[layer] = chs
-	return chs, nil
+		return chs, nil
+	})
 }
 
 // NoisyChallenges returns challenges with Gaussian y-noise of the given
@@ -175,21 +170,14 @@ func (s *Suite) NoisyChallenges(layer int, sd float64) ([]*split.Challenge, erro
 	if sd == 0 {
 		return base, nil
 	}
-	key := fmt.Sprintf("%d/%g", layer, sd)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if chs, ok := s.noisy[key]; ok {
-		s.cacheLookup(true)
+	return cached(s, "suite.cache", &s.noisy, coord{layer, sd}, func() ([]*split.Challenge, error) {
+		rng := rand.New(rand.NewSource(s.Seed*1000 + int64(layer)*17 + int64(sd*1e4)))
+		chs := make([]*split.Challenge, len(base))
+		for i, ch := range base {
+			chs[i] = ch.WithNoise(sd, rng)
+		}
 		return chs, nil
-	}
-	s.cacheLookup(false)
-	rng := rand.New(rand.NewSource(s.Seed*1000 + int64(layer)*17 + int64(sd*1e4)))
-	chs := make([]*split.Challenge, len(base))
-	for i, ch := range base {
-		chs[i] = ch.WithNoise(sd, rng)
-	}
-	s.noisy[key] = chs
-	return chs, nil
+	})
 }
 
 // Instances returns (and caches) the prepared attack instances — feature
@@ -199,23 +187,13 @@ func (s *Suite) NoisyChallenges(layer int, sd float64) ([]*split.Challenge, erro
 // noise) coordinates; multi-config sweeps stop re-deriving per-v-pin
 // features. Lookups are counted under "suite.instances.hit"/".miss".
 func (s *Suite) Instances(layer int, sd float64) ([]*attack.Instance, error) {
-	key := fmt.Sprintf("%d/%g", layer, sd)
-	s.mu.Lock()
-	in, ok := s.insts[key]
-	s.mu.Unlock()
-	s.Obs.Metrics().Cache("suite.instances").Lookup(ok)
-	if ok {
-		return in, nil
-	}
-	chs, err := s.NoisyChallenges(layer, sd)
-	if err != nil {
-		return nil, err
-	}
-	in = attack.NewInstancesWorkers(chs, s.Workers)
-	s.mu.Lock()
-	s.insts[key] = in
-	s.mu.Unlock()
-	return in, nil
+	return cached(s, "suite.instances", &s.insts, coord{layer, sd}, func() ([]*attack.Instance, error) {
+		chs, err := s.NoisyChallenges(layer, sd)
+		if err != nil {
+			return nil, err
+		}
+		return attack.NewInstancesWorkers(chs, s.Workers), nil
+	})
 }
 
 // prepare stamps a config with the suite's seed, worker bound, and
@@ -245,7 +223,7 @@ func (s *Suite) Run(cfg attack.Config, layer int) (*attack.Result, error) {
 // at the given split layer, optionally on noise-obfuscated challenges
 // (sd > 0, as a fraction of die height).
 func (s *Suite) RunPA(cfg attack.Config, layer int, sd float64) ([]attack.PAOutcome, error) {
-	return memo(s, s.pa, fmt.Sprintf("%s@%d/%g", cfg.Name, layer, sd), func() ([]attack.PAOutcome, error) {
+	return cached(s, "suite.cache", &s.pa, runKey{cfg.Name, coord{layer, sd}}, func() ([]attack.PAOutcome, error) {
 		insts, err := s.Instances(layer, sd)
 		if err != nil {
 			return nil, err
@@ -265,7 +243,7 @@ func (s *Suite) RunPA(cfg attack.Config, layer int, sd float64) ([]attack.PAOutc
 // every fold is served from (and saved to) the suite's checkpoint when it
 // has one, and the result is bit-identical to attack.Run either way.
 func (s *Suite) RunNoisy(cfg attack.Config, layer int, sd float64) (*attack.Result, error) {
-	return memo(s, s.runs, fmt.Sprintf("%s@%d/%g", cfg.Name, layer, sd), func() (*attack.Result, error) {
+	return cached(s, "suite.cache", &s.runs, runKey{cfg.Name, coord{layer, sd}}, func() (*attack.Result, error) {
 		insts, err := s.Instances(layer, sd)
 		if err != nil {
 			return nil, err
@@ -276,27 +254,6 @@ func (s *Suite) RunNoisy(cfg attack.Config, layer int, sd float64) (*attack.Resu
 		}
 		return r, nil
 	})
-}
-
-// memo returns m[key], computing it with fn on a miss and caching a
-// successful result; lookups land on the suite.cache counters. Concurrent
-// misses may both compute: a value depends only on its key.
-func memo[K comparable, V any](s *Suite, m map[K]V, key K, fn func() (V, error)) (V, error) {
-	s.mu.Lock()
-	v, ok := m[key]
-	s.mu.Unlock()
-	s.cacheLookup(ok)
-	if ok {
-		return v, nil
-	}
-	v, err := fn()
-	if err != nil {
-		return v, err
-	}
-	s.mu.Lock()
-	m[key] = v
-	s.mu.Unlock()
-	return v, nil
 }
 
 // sweepConfigs runs run for every configuration on the suite's worker
@@ -338,7 +295,7 @@ func (s *Suite) RunPAAll(cfgs []attack.Config, layer int, sd float64) ([][]attac
 // nnPA returns the nearest-neighbour PA success of design d at the given
 // layer, cached per layer.
 func (s *Suite) nnPA(layer, d int) float64 {
-	v, err := memo(s, s.nn, layer, func() ([]float64, error) {
+	v, err := cached(s, "suite.cache", &s.nn, layer, func() ([]float64, error) {
 		chs, err := s.Challenges(layer)
 		if err != nil {
 			return nil, err

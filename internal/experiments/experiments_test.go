@@ -250,7 +250,7 @@ func TestFig10Output(t *testing.T) {
 func TestNewSuiteFromDesignsSharesLayouts(t *testing.T) {
 	s := testSuite(t)
 	fresh := NewSuiteFromDesigns(s.Designs, s.Scale, s.Seed)
-	if len(fresh.runs) != 0 {
+	if fresh.runs.Len() != 0 {
 		t.Error("fresh suite must have empty caches")
 	}
 	if &fresh.Designs[0] == nil || fresh.Designs[0] != s.Designs[0] {

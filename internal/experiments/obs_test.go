@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"repro/internal/attack"
@@ -71,6 +72,53 @@ func TestSuiteInstanceCacheHits(t *testing.T) {
 	}
 	if ic.Hits() < 1 {
 		t.Errorf("suite.instances.hit = %d, want >= 1 (second config must reuse instances)", ic.Hits())
+	}
+}
+
+// TestSuiteCacheCoalesces races Instances and Challenges calls for one
+// layer on a fresh suite: concurrent requests wait for the one computation
+// in flight, so the instances are built once (one suite.instances miss,
+// every other call a hit) and every design is cut once.
+func TestSuiteCacheCoalesces(t *testing.T) {
+	o := obs.New(obs.Options{Command: "test"})
+	s := NewSuiteFromDesigns(testSuite(t).Designs, 0.12, 3)
+	s.Obs = o
+
+	const callers = 8
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make(chan error, 2*callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, err := s.Instances(6, 0)
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			_, err := s.Challenges(6)
+			errs <- err
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	m := o.Metrics()
+	ic := m.Cache("suite.instances")
+	if ic.Misses() != 1 || ic.Hits() != callers-1 {
+		t.Errorf("suite.instances miss/hit = %d/%d, want 1/%d", ic.Misses(), ic.Hits(), callers-1)
+	}
+	if n := m.Counter("split.challenges").Value(); n != int64(len(s.Designs)) {
+		t.Errorf("split.challenges = %d, want %d (one cut per design)", n, len(s.Designs))
 	}
 }
 

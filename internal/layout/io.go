@@ -108,6 +108,11 @@ func (l *loader) coord(s string) (geom.Coord, error) {
 
 func (l *loader) atoi(s string) (int, error) { return strconv.Atoi(s) }
 
+// maxPrealloc caps the capacity Load reserves from a record-count header:
+// the header is outside input, so slices grow with the records actually
+// read, and a lying count costs at most this much up front.
+const maxPrealloc = 1 << 16
+
 // Load parses a .sml design written by Save. The cell library is resolved
 // against the default library by kind name.
 func Load(r io.Reader) (*Design, error) {
@@ -144,8 +149,8 @@ func Load(r io.Reader) (*Design, error) {
 	if err != nil || nCells < 0 {
 		return nil, l.errf("bad cell count")
 	}
-	nl := &netlist.Netlist{Lib: lib, Cells: make([]netlist.Cell, nCells)}
-	pl := &place.Placement{Die: die, Origins: make([]geom.Point, nCells)}
+	nl := &netlist.Netlist{Lib: lib, Cells: make([]netlist.Cell, 0, min(nCells, maxPrealloc))}
+	pl := &place.Placement{Die: die, Origins: make([]geom.Point, 0, min(nCells, maxPrealloc))}
 	for i := 0; i < nCells; i++ {
 		if f, err = l.next(); err != nil || len(f) != 5 || f[0] != "C" {
 			return nil, l.errf("bad cell record")
@@ -163,8 +168,8 @@ func Load(r io.Reader) (*Design, error) {
 		if err1 != nil || err2 != nil {
 			return nil, l.errf("bad cell origin")
 		}
-		nl.Cells[i] = netlist.Cell{ID: i, Name: fmt.Sprintf("u%d", i), Kind: k}
-		pl.Origins[i] = geom.Pt(x, y)
+		nl.Cells = append(nl.Cells, netlist.Cell{ID: i, Name: fmt.Sprintf("u%d", i), Kind: k})
+		pl.Origins = append(pl.Origins, geom.Pt(x, y))
 	}
 
 	// Nets.
@@ -175,7 +180,7 @@ func Load(r io.Reader) (*Design, error) {
 	if err != nil || nNets < 0 {
 		return nil, l.errf("bad net count")
 	}
-	nl.Nets = make([]netlist.Net, nNets)
+	nl.Nets = make([]netlist.Net, 0, min(nNets, maxPrealloc))
 	for i := 0; i < nNets; i++ {
 		if f, err = l.next(); err != nil || len(f) < 5 || f[0] != "N" {
 			return nil, l.errf("bad net record")
@@ -199,7 +204,7 @@ func Load(r io.Reader) (*Design, error) {
 			}
 			net.Sinks = append(net.Sinks, netlist.PinRef{Cell: sc, Pin: sp})
 		}
-		nl.Nets[i] = net
+		nl.Nets = append(nl.Nets, net)
 	}
 	if err := nl.Validate(); err != nil {
 		return nil, fmt.Errorf("layout: loaded netlist invalid: %w", err)
@@ -213,6 +218,7 @@ func Load(r io.Reader) (*Design, error) {
 	if err != nil || nRoutes != nNets {
 		return nil, l.errf("route count %q does not match net count %d", f[1], nNets)
 	}
+	// nRoutes equals the net count, which the records above bounded.
 	routing := &route.Routing{Die: die, Routes: make([]route.Route, nRoutes)}
 	var cur *route.Route
 	for {

@@ -3,7 +3,8 @@
 // a shared counter. Every fan-out in the engine — suite generation,
 // instance preparation, per-tree training, leave-one-out folds, proximity
 // targets, sweep configurations — goes through it, so the worker clamp and
-// the panic contract live in one place.
+// the panic contract live in one place. Memo is the matching keyed cache
+// for work that must run once however many goroutines ask for it.
 package par
 
 import (

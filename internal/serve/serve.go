@@ -18,11 +18,11 @@
 // abandoned mid-stage finishes on its own goroutine and its result is
 // discarded. All jobs share one warm model.Store, so concurrent
 // submissions of the same spec coalesce into exactly one training
-// (singleflight), and one prepared-instance cache per (scale, seed, layer),
-// so the synthetic suite is generated and indexed once per shape. Results
-// are bit-identical at any pool size, queue depth, or submission
-// interleaving: every job's randomness derives from its own spec's seed
-// alone.
+// (singleflight), and one experiments.Suite per (tier, scale, seed), so
+// the synthetic suite is generated once per shape and cut and indexed once
+// per split layer on top of it. Results are bit-identical at any pool
+// size, queue depth, or submission interleaving: every job's randomness
+// derives from its own spec's seed alone.
 //
 // # Persistence
 //
@@ -45,11 +45,11 @@ import (
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/experiments"
 	"repro/internal/layout"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/split"
 	"repro/internal/sweep"
 )
 
@@ -103,8 +103,8 @@ type Options struct {
 var ErrQueueFull = errors.New("serve: job queue full")
 
 // Server is the job service: a bounded worker pool over a registry of
-// jobs, a shared artifact store, and a prepared-instance cache. Create
-// with New, expose with Handler, stop with Close.
+// jobs, a shared artifact store, and the suites jobs run on. Create with
+// New, expose with Handler, stop with Close.
 type Server struct {
 	opts  Options
 	o     *obs.Context
@@ -122,23 +122,15 @@ type Server struct {
 	order  []string
 	nextID int
 
-	instMu sync.Mutex
-	insts  map[instKey]*instEntry
+	// suites holds one generated suite per shape, shared by every job.
+	suites par.Memo[suiteShape, *experiments.Suite]
 }
 
-// instKey identifies one prepared suite shape.
-type instKey struct {
+// suiteShape identifies one generated suite.
+type suiteShape struct {
 	tier  string
 	scale float64
 	seed  int64
-	layer int
-}
-
-// instEntry is one once-built instance list concurrent jobs share.
-type instEntry struct {
-	once  sync.Once
-	insts []*attack.Instance
-	err   error
 }
 
 // New builds the server, reloads the state directory when one is
@@ -180,7 +172,6 @@ func New(opts Options) (*Server, error) {
 		o:     opts.Obs,
 		store: opts.Store,
 		jobs:  make(map[string]*Job),
-		insts: make(map[instKey]*instEntry),
 	}
 	if opts.CheckpointDir != "" {
 		ck, err := sweep.Open(opts.CheckpointDir)
@@ -446,37 +437,16 @@ func (s *Server) queueDepth() {
 	s.o.Metrics().Gauge("serve.queue.depth").Set(float64(len(s.queue)))
 }
 
-// instances returns the prepared attack instances for one suite shape,
-// building them once and sharing them across jobs; lookups feed the
-// "serve.instances" cache counters. Instances are read-only after
-// construction and safe to share between concurrent runs.
+// instances returns the prepared attack instances of a split layer. Every
+// job on one suite shape shares one generated Suite, whose cache prepares
+// each layer once ("suite.instances" counters); a failed generation is
+// retried by the next job.
 func (s *Server) instances(tier string, scale float64, seed int64, layer int) ([]*attack.Instance, error) {
-	key := instKey{tier: tier, scale: scale, seed: seed, layer: layer}
-	s.instMu.Lock()
-	e, ok := s.insts[key]
-	if !ok {
-		e = &instEntry{}
-		s.insts[key] = e
-	}
-	s.instMu.Unlock()
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		designs, err := layout.GenerateSuiteObs(s.o, layout.SuiteConfig{
-			Tier: tier, Scale: scale, Seed: seed, Workers: s.opts.Workers})
-		if err != nil {
-			e.err = err
-			return
-		}
-		chs := make([]*split.Challenge, len(designs))
-		for i, d := range designs {
-			if chs[i], err = split.NewChallengeObs(s.o, d, layer); err != nil {
-				e.err = err
-				return
-			}
-		}
-		e.insts = attack.NewInstancesWorkers(chs, s.opts.Workers)
+	suite, _, err := s.suites.Get(suiteShape{tier, scale, seed}, func() (*experiments.Suite, error) {
+		return experiments.NewSuiteTier(s.o, tier, scale, seed, s.opts.Workers)
 	})
-	s.o.Metrics().Cache("serve.instances").Lookup(hit)
-	return e.insts, e.err
+	if err != nil {
+		return nil, err
+	}
+	return suite.Instances(layer, 0)
 }

@@ -202,7 +202,7 @@ func TestServeMLPBitIdentity(t *testing.T) {
 // TestServeConcurrentSameSpecTrainsOnce hammers the server with identical
 // concurrent submissions: the shared store must coalesce them into exactly
 // one training (model.artifacts: 1 miss) and one suite preparation
-// (serve.instances: 1 miss), all results digest-identical.
+// (suite.instances: 1 miss), all results digest-identical.
 func TestServeConcurrentSameSpecTrainsOnce(t *testing.T) {
 	const n = 6
 	o := obs.New(obs.Options{Command: "serve-test"})
@@ -234,9 +234,9 @@ func TestServeConcurrentSameSpecTrainsOnce(t *testing.T) {
 	if got := arts.Hits(); got != n-1 {
 		t.Errorf("model.artifacts hits = %d, want %d", got, n-1)
 	}
-	insts := o.Metrics().Cache("serve.instances")
+	insts := o.Metrics().Cache("suite.instances")
 	if got := insts.Misses(); got != 1 {
-		t.Errorf("serve.instances misses = %d, want 1", got)
+		t.Errorf("suite.instances misses = %d, want 1", got)
 	}
 }
 
@@ -487,5 +487,63 @@ func TestServePanickingJobFails(t *testing.T) {
 	waitTerminal(t, next, 30*time.Second)
 	if st := s.Status(next).State; st != StateDone {
 		t.Fatalf("job after a panic ended %s, want done", st)
+	}
+}
+
+// TestServeLayersShareSuite submits attack jobs at split layers 6 and 8 of
+// one suite shape: the server generates the suite's layouts once for both
+// (one experiments.Suite per shape) and prepares each layer once, and each
+// job's digest equals a direct attack.RunTarget run at its layer.
+func TestServeLayersShareSuite(t *testing.T) {
+	o := obs.New(obs.Options{Command: "serve-test"})
+	s := newTestServer(t, Options{Obs: o, Pool: 2})
+	layers := []int{6, 8}
+	jobs := make([]*Job, len(layers))
+	for i, layer := range layers {
+		spec := attackSpec("sb1")
+		spec.Layer = layer
+		job, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = job
+	}
+
+	designs, err := layout.GenerateSuite(layout.SuiteConfig{Scale: testScale, Seed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, job := range jobs {
+		waitTerminal(t, job, 10*time.Minute)
+		if st := s.Status(job); st.State != StateDone {
+			t.Fatalf("layer %d job state %s, error %q", layers[i], st.State, st.Error)
+		}
+		res, _ := s.Result(job)
+		chs := make([]*split.Challenge, len(designs))
+		for d := range designs {
+			if chs[d], err = split.NewChallenge(designs[d], layers[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cfg, _ := attack.ConfigByName("ML-9")
+		cfg.Seed = testSeed
+		ev, _, err := attack.RunTarget(cfg, attack.NewInstancesWorkers(chs, 0), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if designs[0].Name != "sb1" {
+			t.Fatalf("suite's first design is %s, want sb1", designs[0].Name)
+		}
+		if got, want := res.Attack.EvalDigest, ev.Digest(); got != want {
+			t.Errorf("layer %d: served digest %s != direct digest %s", layers[i], got, want)
+		}
+	}
+
+	m := o.Metrics()
+	if got := m.Counter("layout.designs.generated").Value(); got != int64(len(designs)) {
+		t.Errorf("layout.designs.generated = %d, want %d (one suite for both layers)", got, len(designs))
+	}
+	if got := m.Cache("suite.instances").Misses(); got != int64(len(layers)) {
+		t.Errorf("suite.instances misses = %d, want %d (one per layer)", got, len(layers))
 	}
 }
