@@ -123,9 +123,7 @@ func measureScoring(s *experiments.Suite) (*scoringDoc, error) {
 	attack.NewInstancesWorkers(chs, 0)
 	parallelNs := time.Since(t0).Nanoseconds()
 
-	twoLevel := attack.WithTwoLevel(attack.Imp11())
-	twoLevel.Name += "-2L"
-	configs := []attack.Config{attack.ML9(), attack.Imp11(), twoLevel}
+	configs := []attack.Config{attack.ML9(), attack.Imp11(), experiments.Imp11TwoLevel()}
 	entries := make([]scoringBenchEntry, 0, len(configs))
 	for _, cfg := range configs {
 		cfg.Seed = s.Seed
@@ -179,9 +177,7 @@ func measureTrain(s *experiments.Suite) (*trainDoc, error) {
 		return nil, err
 	}
 
-	twoLevel := attack.WithTwoLevel(attack.Imp11())
-	twoLevel.Name += "-2L"
-	configs := []attack.Config{attack.Imp11(), twoLevel}
+	configs := []attack.Config{attack.Imp11(), experiments.Imp11TwoLevel()}
 	entries := make([]trainBenchEntry, 0, len(configs))
 	for _, cfg := range configs {
 		cfg.Seed = s.Seed

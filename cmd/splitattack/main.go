@@ -88,18 +88,16 @@ func prepare(fsName string, args []string, addFlags func(*flag.FlagSet)) *sessio
 	if err != nil {
 		cli.Usage("%v", err)
 	}
-	cfg.Seed = app.Seed
-	cfg.Workers = app.Workers()
-	cfg.Obs = o
-	// The artifact store makes repeated invocations warm when
-	// -model-cache-dir points at a persistent directory; a memory-only
-	// store is free for the single-target run.
-	cfg.Models = app.ModelStore()
 
 	suite, err := experiments.NewSuiteTier(o, app.Tier, app.Scale, app.Seed, app.Workers())
 	if err != nil {
 		cli.Fatal(err)
 	}
+	// The artifact store makes repeated invocations warm when
+	// -model-cache-dir points at a persistent directory; a memory-only
+	// store is free for the single-target run.
+	suite.SetModelStore(app.ModelStore())
+	cfg = suite.Prepare(cfg)
 	target := slices.IndexFunc(suite.Designs, func(d *layout.Design) bool { return d.Name == *design })
 	if target < 0 {
 		cli.Usage("unknown design %q", *design)

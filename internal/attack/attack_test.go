@@ -69,7 +69,7 @@ func run(t *testing.T, cfg Config, layer int) *Result {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{Name: "x"}.withDefaults()
+	c := Config{Options: Options{Name: "x"}}.withDefaults()
 	if c.NeighborQuantile != 0.90 {
 		t.Errorf("default quantile %f", c.NeighborQuantile)
 	}
@@ -79,7 +79,7 @@ func TestConfigDefaults(t *testing.T) {
 	if len(c.Features) != 9 {
 		t.Errorf("default features %d", len(c.Features))
 	}
-	cr := Config{Name: "x", BaseKind: ml.RandomTree}.withDefaults()
+	cr := Config{Options: Options{Name: "x", BaseKind: ml.RandomTree}}.withDefaults()
 	if cr.NumTrees != ml.DefaultForestSize {
 		t.Errorf("random-tree default trees %d", cr.NumTrees)
 	}

@@ -18,98 +18,30 @@ import (
 	"repro/internal/pairs"
 )
 
-// Config selects one of the paper's model configurations.
+// Options are a configuration's training options, declared once in
+// model.TrainOptions and embedded in Config.
+type Options = model.TrainOptions
+
+// Config selects one of the paper's model configurations: its Options plus
+// the fields training never reads.
 type Config struct {
-	// Name labels the configuration in reports ("ML-9", "Imp-11Y", ...).
-	Name string
-	// Features are the feature indices trees may split on.
-	Features []int
-	// Neighborhood enables the Imp scalability improvement (§III-D):
-	// training samples and tested pairs are restricted to v-pins within a
-	// radius derived from the matched-pair ManhattanVpin distribution of
-	// the training designs.
-	Neighborhood bool
-	// NeighborQuantile is the CDF cut defining the neighborhood radius;
-	// the paper uses 0.90. Zero selects 0.90.
-	NeighborQuantile float64
-	// LimitDiffVpinY enables the "Y" refinement (§III-G): only pairs with
-	// DiffVpinY = 0 are trained on and tested, exploiting the single
-	// routing direction above the highest via layer. Only meaningful when
-	// attacking split layer 8.
-	LimitDiffVpinY bool
-	// TwoLevel enables two-level pruning (§III-E).
-	TwoLevel bool
-	// BaseKind is the Bagging base classifier; the paper's final models
-	// use REPTree, its predecessor [18] used RandomTree.
-	BaseKind ml.TreeKind
-	// NumTrees is the ensemble size; zero selects the Weka default for
-	// the base kind (10 for REPTree, 100 for RandomTree).
-	NumTrees int
-	// MaxLoCFrac bounds the per-v-pin candidate list retained during
-	// testing, as a fraction of the design's v-pin count. Metrics are
-	// exact for LoC fractions up to this bound; the paper's tables query
-	// at most 10%. Zero selects 0.15.
-	MaxLoCFrac float64
-	// MaxLoCCount, when positive, additionally caps every retained
-	// candidate list at an absolute length, on top of the fractional
-	// MaxLoCFrac bound. At industrial scale the fractional bound alone
-	// retains gigabytes (0.15 of 30k v-pins is 4.5k candidates each); an
-	// absolute cap keeps the Evaluation's memory proportional to N while
-	// FCR/LoC/proximity metrics and Evaluation.Digest stay exact for every
-	// query within the retained bound. Under TwoLevel the same cap bounds
-	// the level-1 lists the pruning stage draws negatives from, so it is
-	// part of the trained model's identity there (and only there — see
-	// model.Spec.Hash).
-	MaxLoCCount int
-	// ShardVpins is the spatial-region size of the streamed scoring stage:
-	// how many v-pins a worker claims at a time from the vpinIndex grid
-	// walk. Zero picks an automatic size. Results are bit-identical for
-	// every value; this is purely a working-set/latency knob, so it is
-	// excluded from model spec hashes.
-	ShardVpins int
-	// TrainCap bounds the number of training samples (0 = unlimited);
-	// when exceeded, a balanced random subsample is used.
-	TrainCap int
-	// Family selects the learner family by registry name ("" or
-	// model.FamilyBagging for the paper's Bagging ensemble,
-	// model.FamilyMLP for the DL-perspective multi-layer perceptron,
-	// model.FamilyLogistic for the linear ablation baseline). Every family
-	// is hashable and serializable, so all of them checkpoint, cache, and
-	// sweep identically; Validate rejects unregistered names.
-	Family string
-	// MLPHidden, MLPEpochs, and MLPRate tune the MLP family (hidden layer
-	// width, SGD epochs, learning rate); zero selects the defaults
-	// (16/30/0.05). Other families ignore them and never hash them.
-	MLPHidden int
-	MLPEpochs int
-	MLPRate   float64
-	// Ranking enables the list-wise ranking head of the DL-perspective
-	// attack: each scored v-pin's candidate list is softmax-normalised in
-	// place (see pairs.Ranked). The softmax is monotone within a list, so
-	// candidate rankings, CCR, and accuracy-at-K are unchanged; score-scale
-	// consumers (figure-of-merit, threshold sweeps) see a per-list
-	// probability distribution instead of raw classifier outputs.
+	Options
+	// Ranking enables the DL-perspective list-wise ranking head: each scored
+	// v-pin's candidate list is softmax-normalised in place (pairs.Ranked).
+	// Rankings, CCR and accuracy-at-K are unchanged; score-scale consumers
+	// see a per-list probability distribution instead of raw outputs.
 	Ranking bool
-	// ScalarScoring disables the batched scoring fast path: the trained
-	// Bagging is used directly through per-pair Scorer.Prob calls instead
-	// of being compiled into an ml.Ensemble arena. Results are bit-identical
-	// either way; the scalar path exists as the correctness oracle and for
-	// benchmarking the batch path against it.
-	ScalarScoring bool
 	// Seed is the root of all randomness of a run. Every random decision —
 	// training-set sampling, tree induction, level-2 negative draws,
 	// proximity validation splits — draws from an independent stream
 	// derived from Seed and the unit's coordinates via rng.Derive, so
 	// results depend only on Seed, never on Workers or scheduling.
 	Seed int64
-	// Workers bounds the goroutines used for per-target runs, ensemble
-	// training, level-2 scoring, and candidate-pair scoring. Zero or
-	// negative selects GOMAXPROCS. Results are bit-identical at any
-	// worker count.
+	// Workers bounds the goroutines of every parallel stage (zero or
+	// negative selects GOMAXPROCS). Results are bit-identical at any count.
 	Workers int
-	// Obs, when non-nil, receives structured logs, per-phase spans, and
-	// metrics from every stage of the run. A nil Obs disables all
-	// instrumentation at no cost.
+	// Obs, when non-nil, receives logs, spans and metrics from every stage
+	// of the run; nil disables instrumentation at no cost.
 	Obs *obs.Context
 	// Models, when non-nil, caches trained artifacts by spec content hash:
 	// repeated folds (threshold sweeps, config variants sharing a level-1
@@ -118,32 +50,8 @@ type Config struct {
 	Models *model.Store
 }
 
-// TrainOptions projects the configuration's training-relevant fields into
-// the model package's option struct — the one place training options live.
-// The learner family travels by name; the model package resolves it through
-// its registry, so every family the attack engine can name is hashable,
-// serializable, and cacheable.
-func (c Config) TrainOptions() model.TrainOptions {
-	return model.TrainOptions{
-		Name:             c.Name,
-		Features:         c.Features,
-		Neighborhood:     c.Neighborhood,
-		NeighborQuantile: c.NeighborQuantile,
-		LimitDiffVpinY:   c.LimitDiffVpinY,
-		TwoLevel:         c.TwoLevel,
-		BaseKind:         c.BaseKind,
-		NumTrees:         c.NumTrees,
-		MaxLoCFrac:       c.MaxLoCFrac,
-		MaxLoCCount:      c.MaxLoCCount,
-		TrainCap:         c.TrainCap,
-		Family:           c.Family,
-		MLPHidden:        c.MLPHidden,
-		MLPEpochs:        c.MLPEpochs,
-		MLPRate:          c.MLPRate,
-		ScalarScoring:    c.ScalarScoring,
-		ShardVpins:       c.ShardVpins,
-	}
-}
+// TrainOptions returns the configuration's training options.
+func (c Config) TrainOptions() Options { return c.Options }
 
 // foldSpec builds the model spec of leave-one-out fold target — training
 // on every other instance with this configuration's options, seeded for the
@@ -157,7 +65,7 @@ func (c Config) foldSpec(insts []*Instance, target int, span *obs.Span) (model.S
 		radiusNorm = pairs.NeighborRadiusNorm(trainInsts, c.NeighborQuantile)
 		span.SetAttr("radius_norm", radiusNorm)
 	}
-	spec := model.NewSpec(c.TrainOptions(), c.Seed, target, trainInsts, radiusNorm)
+	spec := model.NewSpec(c.Options, c.Seed, target, trainInsts, radiusNorm)
 	spec.Workers = c.Workers
 	spec.Obs = c.Obs
 	spec.Span = span
@@ -165,15 +73,7 @@ func (c Config) foldSpec(insts []*Instance, target int, span *obs.Span) (model.S
 }
 
 func (c Config) withDefaults() Config {
-	to := c.TrainOptions().WithDefaults()
-	c.NeighborQuantile = to.NeighborQuantile
-	c.NumTrees = to.NumTrees
-	c.MaxLoCFrac = to.MaxLoCFrac
-	c.Features = to.Features
-	c.Family = to.Family
-	c.MLPHidden = to.MLPHidden
-	c.MLPEpochs = to.MLPEpochs
-	c.MLPRate = to.MLPRate
+	c.Options = c.WithDefaults()
 	return c
 }
 
@@ -213,23 +113,23 @@ func (c Config) retainCap(n int) int {
 // ML9 is the baseline configuration: the first nine features, no
 // scalability improvement ("ML" in the paper's predecessor [18]).
 func ML9() Config {
-	return Config{Name: "ML-9", Features: features.Set9()}
+	return Config{Options: Options{Name: "ML-9", Features: features.Set9()}}
 }
 
 // Imp9 is ML9 plus the neighborhood scalability improvement.
 func Imp9() Config {
-	return Config{Name: "Imp-9", Features: features.Set9(), Neighborhood: true}
+	return Config{Options: Options{Name: "Imp-9", Features: features.Set9(), Neighborhood: true}}
 }
 
 // Imp7 removes the two least important features from Imp9 ("ML-Imp" in
 // [18]).
 func Imp7() Config {
-	return Config{Name: "Imp-7", Features: features.Set7(), Neighborhood: true}
+	return Config{Options: Options{Name: "Imp-7", Features: features.Set7(), Neighborhood: true}}
 }
 
 // Imp11 uses all eleven features, including the congestion measurements.
 func Imp11() Config {
-	return Config{Name: "Imp-11", Features: features.Set11(), Neighborhood: true}
+	return Config{Options: Options{Name: "Imp-11", Features: features.Set11(), Neighborhood: true}}
 }
 
 // WithY returns the "Y" variant of a configuration: DiffVpinY limited to
@@ -271,12 +171,12 @@ func WithRanking(c Config) Config {
 // recast onto this engine): the full feature set including the
 // routing-hint block, neighborhood sampling, and the MLP learner family.
 func DLMLP() Config {
-	return Config{
+	return Config{Options: Options{
 		Name:         "DL-MLP",
 		Features:     features.Set15(),
 		Neighborhood: true,
 		Family:       model.FamilyMLP,
-	}
+	}}
 }
 
 // DLMLPRank is DLMLP with the list-wise ranking head.

@@ -97,7 +97,7 @@ func scoreTarget(model pairs.Scorer, inst *Instance, cfg Config, radiusNorm floa
 func scoreSubset(model pairs.Scorer, inst *Instance, cfg Config, radiusNorm float64, subset []int) *Evaluation {
 	start := time.Now()
 	n := inst.N()
-	filter := cfg.TrainOptions().Filter(inst, radiusNorm)
+	filter := cfg.Filter(inst, radiusNorm)
 
 	ev := &Evaluation{
 		ConfigName: cfg.Name,

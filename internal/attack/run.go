@@ -252,7 +252,7 @@ func trainModelUnit(cfg Config, ds *ml.Dataset, unit int64, target int) (pairs.S
 	}
 	return fam.Train(model.TrainContext{
 		Obs:     cfg.Obs,
-		Opts:    cfg.TrainOptions().WithDefaults(),
+		Opts:    cfg.WithDefaults(),
 		Seed:    cfg.Seed,
 		Unit:    unit,
 		Fold:    target,

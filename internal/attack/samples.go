@@ -18,8 +18,8 @@ type Instance = pairs.Instance
 // admitted negative per v-pin. onlyVpins, when non-nil, restricts sample
 // generation to the listed v-pins of each instance (used by the proximity
 // attack's 80/20 validation split). The sampling stage lives in the model
-// package; this wrapper projects the configuration's training options.
+// package; this wrapper passes it the configuration's training options.
 func TrainingSet(cfg Config, insts []*Instance, radiusNorm float64,
 	onlyVpins [][]int, rng *rand.Rand) *ml.Dataset {
-	return model.TrainingSet(cfg.Obs, cfg.TrainOptions(), insts, radiusNorm, onlyVpins, rng)
+	return model.TrainingSet(cfg.Obs, cfg.Options, insts, radiusNorm, onlyVpins, rng)
 }

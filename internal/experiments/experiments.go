@@ -3,9 +3,9 @@
 // registered under the paper's table/figure number and writes a plain-text
 // reproduction of the corresponding rows or series.
 //
-// Attack runs are cached per (configuration, split layer) inside a Suite,
-// so experiments that share underlying runs (Tables I and IV, Fig. 9, ...)
-// do not repeat work.
+// Attack runs are cached per (configuration options hash, split layer)
+// inside a Suite, so experiments that share underlying runs (Tables I and
+// IV, Fig. 9, ...) do not repeat work.
 package experiments
 
 import (
@@ -80,9 +80,10 @@ type coord struct {
 	sd    float64
 }
 
-// runKey identifies one attack run of a named configuration.
+// runKey identifies one attack run: a configuration, by its options hash
+// (attack.Config.OptionsHash), at a coordinate.
 type runKey struct {
-	config string
+	options string
 	coord
 }
 
@@ -196,10 +197,11 @@ func (s *Suite) Instances(layer int, sd float64) ([]*attack.Instance, error) {
 	})
 }
 
-// prepare stamps a config with the suite's seed, worker bound, and
-// observability context before an attack run. A config's own Workers, when
-// set, wins over the suite's.
-func (s *Suite) prepare(cfg attack.Config) attack.Config {
+// Prepare binds a config to a run on this suite: it stamps the suite's
+// seed, worker bound, observability context and model store. A config's own
+// Workers and Models, when set, win over the suite's. It is the one place a
+// config gets these fields; the commands and the job server call it too.
+func (s *Suite) Prepare(cfg attack.Config) attack.Config {
 	cfg.Seed = s.Seed
 	if cfg.Workers == 0 {
 		cfg.Workers = s.Workers
@@ -223,7 +225,7 @@ func (s *Suite) Run(cfg attack.Config, layer int) (*attack.Result, error) {
 // at the given split layer, optionally on noise-obfuscated challenges
 // (sd > 0, as a fraction of die height).
 func (s *Suite) RunPA(cfg attack.Config, layer int, sd float64) ([]attack.PAOutcome, error) {
-	return cached(s, "suite.cache", &s.pa, runKey{cfg.Name, coord{layer, sd}}, func() ([]attack.PAOutcome, error) {
+	return cached(s, "suite.cache", &s.pa, runKey{cfg.OptionsHash(), coord{layer, sd}}, func() ([]attack.PAOutcome, error) {
 		insts, err := s.Instances(layer, sd)
 		if err != nil {
 			return nil, err
@@ -234,7 +236,7 @@ func (s *Suite) RunPA(cfg attack.Config, layer int, sd float64) ([]attack.PAOutc
 		if err != nil {
 			return nil, err
 		}
-		return attack.RunProximity(s.prepare(cfg), insts, prior)
+		return attack.RunProximity(s.Prepare(cfg), insts, prior)
 	})
 }
 
@@ -243,12 +245,12 @@ func (s *Suite) RunPA(cfg attack.Config, layer int, sd float64) ([]attack.PAOutc
 // every fold is served from (and saved to) the suite's checkpoint when it
 // has one, and the result is bit-identical to attack.Run either way.
 func (s *Suite) RunNoisy(cfg attack.Config, layer int, sd float64) (*attack.Result, error) {
-	return cached(s, "suite.cache", &s.runs, runKey{cfg.Name, coord{layer, sd}}, func() (*attack.Result, error) {
+	return cached(s, "suite.cache", &s.runs, runKey{cfg.OptionsHash(), coord{layer, sd}}, func() (*attack.Result, error) {
 		insts, err := s.Instances(layer, sd)
 		if err != nil {
 			return nil, err
 		}
-		r, err := sweep.RunFolds(context.Background(), s.Obs, s.Checkpoint, s.provenance(), sd, s.prepare(cfg), insts)
+		r, err := sweep.RunFolds(context.Background(), s.Obs, s.Checkpoint, s.provenance(), sd, s.Prepare(cfg), insts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s at layer %d: %w", cfg.Name, layer, err)
 		}

@@ -66,6 +66,45 @@ func TestRunCached(t *testing.T) {
 	}
 }
 
+// TestRunKeyedByOptions: two configs sharing a display name but not their
+// options are two runs. The suite's run cache and PlanRuns key by options
+// hash, so the second config gets its own result and its own units.
+func TestRunKeyedByOptions(t *testing.T) {
+	s := freshSuite(t)
+	base := attack.ML9()
+	small := attack.ML9()
+	small.NumTrees = 1
+	first, err := s.Run(base, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.Run(small, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first == second {
+		t.Fatal("a config with different options was served another config's cached run")
+	}
+	insts, err := s.Instances(8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := attack.Run(s.Prepare(small), insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range fresh.Evals {
+		if got, want := second.Evals[i].Digest(), ev.Digest(); got != want {
+			t.Errorf("%s: suite run digest %s, fresh run %s", ev.Design, got, want)
+		}
+	}
+
+	units := s.PlanRuns([]RunSpec{{Config: base, Layer: 8}, {Config: small, Layer: 8}})
+	if want := 2 * len(s.Designs); len(units) != want {
+		t.Fatalf("PlanRuns planned %d units for 2 configs × %d designs, want %d", len(units), len(s.Designs), want)
+	}
+}
+
 func TestNoisyChallenges(t *testing.T) {
 	s := testSuite(t)
 	clean, err := s.Challenges(6)

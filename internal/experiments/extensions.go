@@ -8,7 +8,6 @@ import (
 	"repro/internal/attack"
 	"repro/internal/layout"
 	"repro/internal/ml"
-	"repro/internal/model"
 	"repro/internal/obfuscate"
 	"repro/internal/sim"
 	"repro/internal/split"
@@ -35,6 +34,13 @@ func extExperiments() []Experiment {
 // feature block) and the same MLP with the list-wise ranking head.
 func dlConfigs() []attack.Config {
 	return []attack.Config{attack.Imp11(), attack.DLMLP(), attack.DLMLPRank()}
+}
+
+// classifierConfigs are the classifier bake-off configurations: the
+// paper's Bagging/REPTree pipeline against a random forest and the logistic
+// family, all on Imp-11.
+func classifierConfigs() []attack.Config {
+	return []attack.Config{attack.Imp11(), Imp11RandomForest(), Imp11Logistic()}
 }
 
 // ExtDL recasts the DL-perspective split-manufacturing attack (Li et al.,
@@ -135,11 +141,7 @@ func ExtRecovery(s *Suite, w io.Writer) error {
 // ExtClassifiers compares classifiers under the Imp-11 pipeline at split
 // layers 8 and 6: accuracy at fixed LoC sizes plus the pair-scoring AUC.
 func ExtClassifiers(s *Suite, w io.Writer) error {
-	logistic := attack.WithFamily(attack.Imp11(), model.FamilyLogistic)
-	logistic.Name = "Imp-11-logistic"
-	forest := attack.WithBase(attack.Imp11(), ml.RandomTree, 0)
-	forest.Name = "Imp-11-RandomForest"
-	configs := []attack.Config{attack.Imp11(), forest, logistic}
+	configs := classifierConfigs()
 
 	for _, layer := range []int{8, 6} {
 		fmt.Fprintf(w, "Extension: classifier comparison - split layer %d (Imp-11 pipeline)\n", layer)
@@ -248,7 +250,7 @@ func ExtDefense(s *Suite, w io.Writer) error {
 		}
 		cfg := attack.Imp11()
 		cfg.Name = fmt.Sprintf("Imp-11-def%d", vi)
-		res, err := attack.Run(s.prepare(cfg), attack.NewInstancesWorkers(chs, s.Workers))
+		res, err := attack.Run(s.Prepare(cfg), attack.NewInstancesWorkers(chs, s.Workers))
 		if err != nil {
 			return err
 		}

@@ -78,11 +78,9 @@ func figTrainingSamples(s *Suite, layer, design int) (*ml.Dataset, error) {
 			trainInsts = append(trainInsts, inst)
 		}
 	}
-	cfg := attack.Imp11()
-	cfg.Seed = s.Seed
 	radius := pairs.NeighborRadiusNorm(trainInsts, 0.90)
 	rng := rand.New(rand.NewSource(s.Seed + int64(layer*100+design)))
-	ds := attack.TrainingSet(cfg, []*attack.Instance{insts[design]}, radius, nil, rng)
+	ds := attack.TrainingSet(attack.Imp11(), []*attack.Instance{insts[design]}, radius, nil, rng)
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/attack"
 	"repro/internal/ml"
@@ -20,6 +19,38 @@ type RunSpec struct {
 	Noise  float64
 }
 
+// Named experiment configurations beyond the attack package's presets,
+// shared by the renderers, their Deps and benchgen.
+
+// Imp7RandomTree is Imp-7 on RandomTree base classifiers (Table II).
+func Imp7RandomTree() attack.Config {
+	c := attack.WithBase(attack.Imp7(), ml.RandomTree, 0)
+	c.Name = "Imp-7-RandomTree"
+	return c
+}
+
+// Imp11TwoLevel is Imp-11 with two-level pruning (Table III).
+func Imp11TwoLevel() attack.Config {
+	c := attack.WithTwoLevel(attack.Imp11())
+	c.Name = "Imp-11-2L"
+	return c
+}
+
+// Imp11Logistic is Imp-11 on the logistic family (ext-classifiers).
+func Imp11Logistic() attack.Config {
+	c := attack.WithFamily(attack.Imp11(), model.FamilyLogistic)
+	c.Name = "Imp-11-logistic"
+	return c
+}
+
+// Imp11RandomForest is Imp-11 on RandomTree base classifiers
+// (ext-classifiers).
+func Imp11RandomForest() attack.Config {
+	c := attack.WithBase(attack.Imp11(), ml.RandomTree, 0)
+	c.Name = "Imp-11-RandomForest"
+	return c
+}
+
 // Deps enumerations per experiment. Each mirrors exactly the Run/RunNoisy
 // calls its renderer makes (see tables.go, figures.go, extensions.go), so a
 // sharded plan pre-computes precisely the folds the merge run will load.
@@ -29,15 +60,11 @@ func depsTableI() []RunSpec {
 }
 
 func depsTableII() []RunSpec {
-	rf := attack.WithBase(attack.Imp7(), ml.RandomTree, 0)
-	rf.Name = "Imp-7-RandomTree"
-	return crossLayers([]attack.Config{rf, attack.Imp7()}, []int{8, 6})
+	return crossLayers([]attack.Config{Imp7RandomTree(), attack.Imp7()}, []int{8, 6})
 }
 
 func depsTableIII() []RunSpec {
-	two := attack.WithTwoLevel(attack.Imp11())
-	two.Name = "Imp-11-2L"
-	return crossLayers([]attack.Config{two, attack.Imp11()}, []int{8})
+	return crossLayers([]attack.Config{Imp11TwoLevel(), attack.Imp11()}, []int{8})
 }
 
 func depsTableIV() []RunSpec {
@@ -60,14 +87,11 @@ func depsNoise() []RunSpec {
 	return out
 }
 
+// depsExtClassifiers covers the classifier bake-off. Every classifier is a
+// registered learner family, so all three are content-addressable and
+// checkpoint as plan units.
 func depsExtClassifiers() []RunSpec {
-	// Every classifier is a registered learner family now, so all three are
-	// content-addressable and checkpoint as plan units.
-	logistic := attack.WithFamily(attack.Imp11(), model.FamilyLogistic)
-	logistic.Name = "Imp-11-logistic"
-	forest := attack.WithBase(attack.Imp11(), ml.RandomTree, 0)
-	forest.Name = "Imp-11-RandomForest"
-	return crossLayers([]attack.Config{attack.Imp11(), forest, logistic}, []int{8, 6})
+	return crossLayers(classifierConfigs(), []int{8, 6})
 }
 
 // depsExtDL covers the DL-perspective comparison: Bagging vs the MLP family
@@ -99,21 +123,22 @@ func crossLayers(configs []attack.Config, layers []int) []RunSpec {
 }
 
 // PlanRuns expands run specs into the suite's work units: one unit per
-// (spec × fold), deduplicated across specs (experiments share runs — Tables
-// IV and V and Fig. 9 all consume the same sweeps). Every configuration is
+// (spec × fold), deduplicated across specs by options hash and coordinate,
+// the key of the suite's run cache (experiments share runs — Tables IV and
+// V and Fig. 9 all consume the same sweeps). Every configuration is
 // content-addressable — learner families serialize their identity into
 // OptionsHash — so every spec plans. Enumeration is deterministic: same
 // suite, same specs, same plan.
 func (s *Suite) PlanRuns(runs []RunSpec) []sweep.Task {
 	var units []sweep.Task
-	seen := map[string]bool{}
+	seen := map[runKey]bool{}
 	for _, r := range runs {
-		pcfg := s.prepare(r.Config)
-		runKey := fmt.Sprintf("%s@%d/%g", pcfg.Name, r.Layer, r.Noise)
-		if seen[runKey] {
+		pcfg := s.Prepare(r.Config)
+		key := runKey{pcfg.OptionsHash(), coord{r.Layer, r.Noise}}
+		if seen[key] {
 			continue
 		}
-		seen[runKey] = true
+		seen[key] = true
 		for fold := range s.Designs {
 			u := sweep.NewUnit(s.provenance(), pcfg, r.Layer, r.Noise, fold, s.Designs[fold].Name)
 			units = append(units, sweep.Task{Unit: u, Config: pcfg})

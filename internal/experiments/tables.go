@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/attack"
-	"repro/internal/ml"
 	"repro/internal/priorwork"
 )
 
@@ -115,8 +114,7 @@ func TableI(s *Suite, w io.Writer) error {
 // [18]) against Bagging with REPTree (this paper) under Imp-7, reporting
 // the threshold-0.5 operating point and runtime for split layers 8 and 6.
 func TableII(s *Suite, w io.Writer) error {
-	rf := attack.WithBase(attack.Imp7(), ml.RandomTree, 0)
-	rf.Name = "Imp-7-RandomTree"
+	rf := Imp7RandomTree()
 	rep := attack.Imp7()
 	for _, layer := range []int{8, 6} {
 		rfRes, err := s.Run(rf, layer)
@@ -155,8 +153,7 @@ func TableII(s *Suite, w io.Writer) error {
 // TableIII reproduces Table III: two-level pruning against no pruning with
 // Imp-11 at split layer 8, at the threshold-0.5 operating point.
 func TableIII(s *Suite, w io.Writer) error {
-	two := attack.WithTwoLevel(attack.Imp11())
-	two.Name = "Imp-11-2L"
+	two := Imp11TwoLevel()
 	plain := attack.Imp11()
 	twoRes, err := s.Run(two, 8)
 	if err != nil {

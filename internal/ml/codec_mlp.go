@@ -124,25 +124,15 @@ func (nn *MLP) validate() error {
 			return fmt.Errorf("ml: mlp feature column %d is negative (%d)", i, f)
 		}
 	}
-	check := func(name string, vs []float64) error {
-		for i, v := range vs {
+	for _, part := range []struct {
+		name string
+		vs   []float64
+	}{{"w1", nn.w1}, {"b1", nn.b1}, {"w2", nn.w2}, {"b2", []float64{nn.b2}}} {
+		for i, v := range part.vs {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("ml: mlp %s[%d] is not finite (%v)", name, i, v)
+				return fmt.Errorf("ml: mlp %s[%d] is not finite (%v)", part.name, i, v)
 			}
 		}
-		return nil
-	}
-	if err := check("w1", nn.w1); err != nil {
-		return err
-	}
-	if err := check("b1", nn.b1); err != nil {
-		return err
-	}
-	if err := check("w2", nn.w2); err != nil {
-		return err
-	}
-	if math.IsNaN(nn.b2) || math.IsInf(nn.b2, 0) {
-		return fmt.Errorf("ml: mlp b2 is not finite (%v)", nn.b2)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -143,8 +144,9 @@ func (a *Artifact) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalArtifact decodes an artifact encoded by MarshalBinary,
-// validating the container checksum, the embedded family payload blobs, and
-// the consistency of the metadata with the decoded payloads.
+// validating the container checksum, the canonical form of the metadata,
+// the embedded family payload blobs, and the consistency of the metadata
+// with the decoded payloads.
 func UnmarshalArtifact(data []byte) (*Artifact, error) {
 	headerLen := len(artifactMagic) + 2
 	if len(data) < headerLen+3*4+4 {
@@ -182,6 +184,12 @@ func UnmarshalArtifact(data []byte) (*Artifact, error) {
 	a := &Artifact{}
 	if err := json.Unmarshal(blobs[0], &a.Meta); err != nil {
 		return nil, fmt.Errorf("model: decoding artifact metadata: %w", err)
+	}
+	// The metadata must be exactly what MarshalBinary writes: unknown,
+	// repeated or case-folded keys and reformatted values would decode to
+	// an artifact whose own encoding differs from the bytes it came from.
+	if canon, err := json.Marshal(a.Meta); err != nil || !bytes.Equal(canon, blobs[0]) {
+		return nil, fmt.Errorf("model: artifact metadata is not in canonical form")
 	}
 	fam, err := FamilyByName(a.Meta.Family)
 	if err != nil {

@@ -1,17 +1,21 @@
 package model
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/features"
 	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/pairs"
+	"repro/internal/par"
 	"repro/internal/split"
 )
 
@@ -424,6 +428,67 @@ func TestStoreCoalescesConcurrentTraining(t *testing.T) {
 	for i := 1; i < callers; i++ {
 		if arts[i] != arts[0] {
 			t.Fatal("coalesced callers received different artifacts")
+		}
+	}
+}
+
+// TestStorePanicReleasesWaiters: a training panic must release its flight.
+// The next lookup of the hash retrains instead of waiting forever on the
+// abandoned flight, and a caller that was waiting on it gets
+// par.ErrMemoPanicked.
+func TestStorePanicReleasesWaiters(t *testing.T) {
+	store := NewStore(0, "")
+	spec := Spec{Opts: imp11Opts().WithDefaults(), Seed: 1, Insts: []*pairs.Instance{nil}}
+	for call := 1; call <= 2; call++ {
+		panicked := make(chan bool, 1)
+		go func() {
+			defer func() { panicked <- recover() != nil }()
+			store.GetOrTrain(spec)
+		}()
+		select {
+		case p := <-panicked:
+			if !p {
+				t.Fatalf("call %d: training on a nil instance did not panic", call)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("call %d still blocked after 5s on a panicked training", call)
+		}
+	}
+
+	// The waiter must reach the flight before the training panics; a late
+	// waiter runs its own training instead, so retry until one is on time.
+	errLate := errors.New("waiter arrived after the panic")
+	for attempt := 1; ; attempt++ {
+		hash := fmt.Sprintf("panic-%d", attempt)
+		started, release := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer func() { recover() }()
+			store.getOrDo(nil, hash, func() (*Artifact, TrainStats, error) {
+				close(started)
+				<-release
+				panic("training failed")
+			})
+		}()
+		<-started
+		waited := make(chan error, 1)
+		go func() {
+			_, _, err := store.getOrDo(nil, hash, func() (*Artifact, TrainStats, error) {
+				return nil, TrainStats{}, errLate
+			})
+			waited <- err
+		}()
+		time.Sleep(time.Duration(attempt) * 20 * time.Millisecond)
+		close(release)
+		select {
+		case err := <-waited:
+			if errors.Is(err, par.ErrMemoPanicked) {
+				return
+			}
+			if err != errLate || attempt == 10 {
+				t.Fatalf("waiter error %v, want %v", err, par.ErrMemoPanicked)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("waiter still blocked after 5s on a panicked training")
 		}
 	}
 }

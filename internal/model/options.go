@@ -16,43 +16,47 @@ import (
 	"repro/internal/pairs"
 )
 
-// TrainOptions is the training-relevant slice of an attack configuration:
-// everything that influences the trained model's bits, plus the unhashed
-// presentation fields (Name) and execution fields (ScalarScoring,
-// ShardVpins). attack.Config projects into this struct, so the options live
-// in one place instead of being re-derived by every training stage.
+// TrainOptions are the options of an attack configuration: everything that
+// influences the trained model's bits, plus the unhashed presentation field
+// (Name) and execution fields (ScalarScoring, ShardVpins). attack.Config
+// embeds this struct as attack.Options, so the options are declared once.
 type TrainOptions struct {
-	// Name labels the configuration in logs and artifact metadata. It does
-	// not influence training and is excluded from spec hashes.
+	// Name labels the configuration in reports, logs and artifact metadata
+	// ("ML-9", "Imp-11Y", ...). It is excluded from spec hashes.
 	Name string
 	// Features are the feature indices trees may split on.
 	Features []int
-	// Neighborhood enables the Imp scalability improvement (§III-D).
+	// Neighborhood enables the Imp scalability improvement (§III-D):
+	// training samples and tested pairs are restricted to a radius derived
+	// from the training designs' matched-pair ManhattanVpin distribution.
 	Neighborhood bool
 	// NeighborQuantile is the CDF cut defining the neighborhood radius;
 	// zero selects the paper's 0.90.
 	NeighborQuantile float64
-	// LimitDiffVpinY enables the "Y" refinement (§III-G).
+	// LimitDiffVpinY enables the "Y" refinement (§III-G): only pairs with
+	// DiffVpinY = 0 are trained on and tested (meaningful at split layer 8).
 	LimitDiffVpinY bool
 	// TwoLevel enables two-level pruning (§III-E): the artifact carries a
 	// second ensemble trained on level-1 survivors.
 	TwoLevel bool
-	// BaseKind is the Bagging base classifier.
+	// BaseKind is the Bagging base classifier: REPTree in the paper's final
+	// models, RandomTree in its predecessor [18].
 	BaseKind ml.TreeKind
 	// NumTrees is the ensemble size; zero selects the Weka default for the
 	// base kind.
 	NumTrees int
-	// MaxLoCFrac bounds the per-v-pin candidate lists the two-level stage
-	// draws its negatives from. It only influences training under TwoLevel
-	// and is hashed only then, so one- and two-level configurations share
-	// level-1 artifacts.
+	// MaxLoCFrac bounds each retained per-v-pin candidate list as a fraction
+	// of the design's v-pins (zero selects 0.15); metrics are exact for LoC
+	// fractions up to it. It influences training only under TwoLevel (the
+	// lists level 2 draws negatives from) and is hashed only then.
 	MaxLoCFrac float64
-	// MaxLoCCount, when positive, additionally caps those lists at an
-	// absolute length (the industrial-scale memory bound). Like MaxLoCFrac
-	// it influences training only under TwoLevel and is hashed only then —
-	// and only when set, so every pre-existing spec hash is unchanged.
+	// MaxLoCCount, when positive, also caps each retained list at an
+	// absolute length, keeping industrial-scale memory proportional to the
+	// v-pin count; metrics and Evaluation.Digest stay exact within the cap.
+	// Like MaxLoCFrac it is hashed only under TwoLevel, and only when set.
 	MaxLoCCount int
-	// TrainCap bounds the number of training samples (0 = unlimited).
+	// TrainCap bounds the number of training samples (0 = unlimited); a
+	// larger set is replaced by a balanced random subsample.
 	TrainCap int
 	// Family selects the registered learner family ("" = FamilyBagging,
 	// the paper's ensemble). Every family hashes, caches, serializes, and
@@ -64,20 +68,17 @@ type TrainOptions struct {
 	MLPHidden int
 	MLPEpochs int
 	MLPRate   float64
-	// ScalarScoring forces the per-pair scalar oracle when the level-2
-	// stage scores training designs with the level-1 model. Results are
-	// bit-identical either way (the documented Ensemble/Bagging contract),
-	// so it is excluded from spec hashes.
+	// ScalarScoring scores through the trained Bagging's per-pair Prob (the
+	// correctness oracle) instead of the compiled ml.Ensemble batch path.
+	// Results are bit-identical, so it is excluded from spec hashes.
 	ScalarScoring bool
-	// ShardVpins is the spatial-region size of the streamed candidate
-	// scoring the level-2 stage runs over the training designs (0 = auto).
-	// Results are bit-identical for every value, so like ScalarScoring it
-	// is an execution knob excluded from spec hashes.
+	// ShardVpins is the v-pin count of one spatial region of the streamed
+	// candidate scoring (0 = automatic). Results are bit-identical for every
+	// value, so it is excluded from spec hashes.
 	ShardVpins int
 }
 
-// WithDefaults resolves the zero-value conveniences exactly as
-// attack.Config always has.
+// WithDefaults resolves the zero-value conveniences the field docs name.
 func (o TrainOptions) WithDefaults() TrainOptions {
 	if o.NeighborQuantile <= 0 || o.NeighborQuantile > 1 {
 		o.NeighborQuantile = 0.90

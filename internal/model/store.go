@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // DefaultStoreCapacity bounds the in-memory artifact cache when NewStore is
@@ -89,7 +90,8 @@ func (s *Store) GetOrTrain(spec Spec) (*Artifact, TrainStats, error) {
 }
 
 // getOrDo returns the artifact cached under hash, or runs train once —
-// coalescing concurrent callers — and caches its result.
+// coalescing concurrent callers — and caches its result. When train
+// panics, the waiters get par.ErrMemoPanicked and the next call retrains.
 func (s *Store) getOrDo(o *obs.Context, hash string,
 	train func() (*Artifact, TrainStats, error)) (*Artifact, TrainStats, error) {
 
@@ -115,16 +117,25 @@ func (s *Store) getOrDo(o *obs.Context, hash string,
 	fl := &flight{done: make(chan struct{})}
 	s.inflight[hash] = fl
 	s.mu.Unlock()
+	// If train panics, release the waiters with par.ErrMemoPanicked.
+	published := false
+	defer func() {
+		if !published {
+			s.finish(hash, fl, nil, par.ErrMemoPanicked)
+		}
+	}()
 
 	if art, ok := s.loadDisk(hash); ok {
 		cache.Lookup(true)
 		o.Metrics().Counter("model.artifacts.disk.hit").Inc()
+		published = true
 		s.finish(hash, fl, art, nil)
 		return art, TrainStats{}, nil
 	}
 
 	cache.Lookup(false)
 	art, stats, err := train()
+	published = true
 	s.finish(hash, fl, art, err)
 	if err == nil {
 		s.writeDisk(hash, art)

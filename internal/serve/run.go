@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/sweep"
 )
@@ -23,7 +24,11 @@ func execute(ctx context.Context, s *Server, job *Job) (*Result, error) {
 	defer prog.Finish()
 
 	s.setStage(job, "instances")
-	insts, err := s.instances(spec.Tier, spec.Scale, *spec.Seed, spec.Layer)
+	suite, err := s.suite(sweep.Provenance{Tier: spec.Tier, Scale: spec.Scale, Seed: *spec.Seed})
+	if err != nil {
+		return nil, err
+	}
+	insts, err := suite.Instances(spec.Layer, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -35,11 +40,11 @@ func execute(ctx context.Context, s *Server, job *Job) (*Result, error) {
 	res := &Result{ID: job.ID, Kind: spec.Kind, Spec: spec}
 	switch spec.Kind {
 	case KindTrain:
-		res.Train, err = s.runTrain(job, spec, insts, prog)
+		res.Train, err = s.runTrain(job, spec, suite, insts, prog)
 	case KindAttack, KindProximity:
-		res.Attack, err = s.runAttack(ctx, job, spec, insts, prog)
+		res.Attack, err = s.runAttack(ctx, job, spec, suite, insts, prog)
 	case KindSweep:
-		res.Sweep, err = s.runSweep(ctx, job, spec, insts, prog)
+		res.Sweep, err = s.runSweep(ctx, job, spec, suite, insts, prog)
 	default:
 		err = fmt.Errorf("serve: unknown kind %q", spec.Kind)
 	}
@@ -62,38 +67,27 @@ func stages(spec JobSpec) int {
 	}
 }
 
-// engineCfg wires a resolved configuration to the server's shared
-// resources: the job's seed, the per-job engine worker bound, the obs
-// context, and the coalescing artifact store.
-func (s *Server) engineCfg(cfg attack.Config, spec JobSpec) attack.Config {
-	cfg.Seed = *spec.Seed
-	cfg.Workers = s.opts.Workers
-	cfg.Obs = s.o
-	cfg.Models = s.store
-	return cfg
-}
-
-// targetIndex resolves the held-out design's instance index.
-func targetIndex(insts []*attack.Instance, design string) (int, error) {
+// jobTarget resolves a single-target job's configuration, bound to the job's
+// run by the suite's Prepare, and the held-out design's instance index.
+func jobTarget(spec JobSpec, suite *experiments.Suite, insts []*attack.Instance) (attack.Config, int, error) {
+	cfg, err := spec.Config.Resolve()
+	if err != nil {
+		return cfg, -1, err
+	}
 	for i, inst := range insts {
-		if inst.Ch.Design.Name == design {
-			return i, nil
+		if inst.Ch.Design.Name == spec.Design {
+			return suite.Prepare(cfg), i, nil
 		}
 	}
-	return -1, fmt.Errorf("serve: design %q not in generated suite", design)
+	return cfg, -1, fmt.Errorf("serve: design %q not in generated suite", spec.Design)
 }
 
 // runTrain trains (or fetches from the shared store) the leave-one-out
 // artifact for the held-out design and persists it under the state dir.
-func (s *Server) runTrain(job *Job, spec JobSpec, insts []*attack.Instance,
-	prog *obs.Progress) (*TrainResult, error) {
+func (s *Server) runTrain(job *Job, spec JobSpec, suite *experiments.Suite,
+	insts []*attack.Instance, prog *obs.Progress) (*TrainResult, error) {
 
-	cfg, err := spec.Config.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	cfg = s.engineCfg(cfg, spec)
-	target, err := targetIndex(insts, spec.Design)
+	cfg, target, err := jobTarget(spec, suite, insts)
 	if err != nil {
 		return nil, err
 	}
@@ -136,15 +130,10 @@ func (s *Server) runTrain(job *Job, spec JobSpec, insts []*attack.Instance,
 
 // runAttack runs the single-target attack (plus the proximity stage for
 // proximity jobs).
-func (s *Server) runAttack(ctx context.Context, job *Job, spec JobSpec,
+func (s *Server) runAttack(ctx context.Context, job *Job, spec JobSpec, suite *experiments.Suite,
 	insts []*attack.Instance, prog *obs.Progress) (*AttackResult, error) {
 
-	cfg, err := spec.Config.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	cfg = s.engineCfg(cfg, spec)
-	target, err := targetIndex(insts, spec.Design)
+	cfg, target, err := jobTarget(spec, suite, insts)
 	if err != nil {
 		return nil, err
 	}
@@ -183,47 +172,44 @@ func (s *Server) runAttack(ctx context.Context, job *Job, spec JobSpec,
 // sweep computes only the work units its partition owns into the
 // checkpoint and returns unit statistics, leaving aggregation to a later
 // full sweep job. Both go through the sweep driver the experiments CLI
-// uses, so their units are interchangeable.
-func (s *Server) runSweep(ctx context.Context, job *Job, spec JobSpec,
+// uses, and a sharded sweep plans its units through the suite's PlanRuns,
+// so their units are interchangeable.
+func (s *Server) runSweep(ctx context.Context, job *Job, spec JobSpec, suite *experiments.Suite,
 	insts []*attack.Instance, prog *obs.Progress) (*SweepResult, error) {
 
 	res := &SweepResult{Layer: spec.Layer, Shard: spec.Shard, Of: spec.Of}
-	prov := sweep.Provenance{Tier: spec.Tier, Scale: spec.Scale, Seed: *spec.Seed}
-	var plan []sweep.Task
+	runs := make([]experiments.RunSpec, len(spec.Configs))
 	for i, cs := range spec.Configs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		cfg, err := cs.Resolve()
 		if err != nil {
 			return nil, err
 		}
-		cfg = s.engineCfg(cfg, spec)
-		if spec.Of > 0 {
-			for fold, inst := range insts {
-				u := sweep.NewUnit(prov, cfg, spec.Layer, 0, fold, inst.Ch.Design.Name)
-				plan = append(plan, sweep.Task{Unit: u, Config: cfg})
-			}
-			continue
-		}
-		s.setStage(job, fmt.Sprintf("sweep %d/%d: %s", i+1, len(spec.Configs), cfg.Name))
-		r, err := sweep.RunFolds(ctx, s.o, s.ck, prov, 0, cfg, insts)
-		if err != nil {
-			return nil, err
-		}
-		res.Configs = append(res.Configs, sweepConfigResult(r))
-		prog.Add(1)
+		runs[i] = experiments.RunSpec{Config: suite.Prepare(cfg), Layer: spec.Layer}
 	}
 	if spec.Of > 0 {
 		// normalize guarantees a sharded job's server has a checkpoint.
 		s.setStage(job, fmt.Sprintf("sweep shard %d/%d", spec.Shard, spec.Of))
 		st, err := sweep.RunOwned(ctx, s.o, s.ck, sweep.Shard{Index: spec.Shard, Count: spec.Of},
-			s.opts.Workers, plan, func(sweep.Unit) ([]*attack.Instance, error) { return insts, nil })
+			s.opts.Workers, suite.PlanRuns(runs), func(sweep.Unit) ([]*attack.Instance, error) { return insts, nil })
 		if err != nil {
 			return nil, err
 		}
 		res.Units = &UnitStats{Owned: st.Owned, Done: st.Computed, Skipped: st.Loaded, Recomputed: st.Recomputed}
 		prog.Add(int64(len(spec.Configs)))
+		return res, nil
+	}
+	prov := sweep.Provenance{Tier: spec.Tier, Scale: spec.Scale, Seed: *spec.Seed}
+	for i, r := range runs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		s.setStage(job, fmt.Sprintf("sweep %d/%d: %s", i+1, len(runs), r.Config.Name))
+		cr, err := sweep.RunFolds(ctx, s.o, s.ck, prov, 0, r.Config, insts)
+		if err != nil {
+			return nil, err
+		}
+		res.Configs = append(res.Configs, sweepConfigResult(cr))
+		prog.Add(1)
 	}
 	return res, nil
 }

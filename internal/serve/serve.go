@@ -44,7 +44,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/experiments"
 	"repro/internal/layout"
 	"repro/internal/model"
@@ -121,16 +120,14 @@ type Server struct {
 	jobs   map[string]*Job
 	order  []string
 	nextID int
+	// persistMu orders job-record writes: a record snapshotted later is
+	// written later, so Submit's pending record cannot land after the
+	// worker's done record.
+	persistMu sync.Mutex
 
-	// suites holds one generated suite per shape, shared by every job.
-	suites par.Memo[suiteShape, *experiments.Suite]
-}
-
-// suiteShape identifies one generated suite.
-type suiteShape struct {
-	tier  string
-	scale float64
-	seed  int64
+	// suites holds one generated suite per provenance (tier, scale, seed),
+	// shared by every job.
+	suites par.Memo[sweep.Provenance, *experiments.Suite]
 }
 
 // New builds the server, reloads the state directory when one is
@@ -437,16 +434,19 @@ func (s *Server) queueDepth() {
 	s.o.Metrics().Gauge("serve.queue.depth").Set(float64(len(s.queue)))
 }
 
-// instances returns the prepared attack instances of a split layer. Every
-// job on one suite shape shares one generated Suite, whose cache prepares
-// each layer once ("suite.instances" counters); a failed generation is
-// retried by the next job.
-func (s *Server) instances(tier string, scale float64, seed int64, layer int) ([]*attack.Instance, error) {
-	suite, _, err := s.suites.Get(suiteShape{tier, scale, seed}, func() (*experiments.Suite, error) {
-		return experiments.NewSuiteTier(s.o, tier, scale, seed, s.opts.Workers)
+// suite returns the generated Suite of a provenance. Every job on one
+// provenance shares it: its cache prepares each layer once ("suite.instances"
+// counters), and its Prepare binds each job's config to the job's seed, the
+// per-job engine worker bound, the obs context and the server's coalescing
+// artifact store. A failed generation is retried by the next job.
+func (s *Server) suite(prov sweep.Provenance) (*experiments.Suite, error) {
+	suite, _, err := s.suites.Get(prov, func() (*experiments.Suite, error) {
+		suite, err := experiments.NewSuiteTier(s.o, prov.Tier, prov.Scale, prov.Seed, s.opts.Workers)
+		if err != nil {
+			return nil, err
+		}
+		suite.SetModelStore(s.store)
+		return suite, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return suite.Instances(layer, 0)
+	return suite, err
 }

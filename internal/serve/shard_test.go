@@ -114,6 +114,20 @@ func TestServeShardedSweepMerge(t *testing.T) {
 	}
 }
 
+// TestServeShardedSweepKeysByOptions: a sharded sweep plans through the
+// suite's PlanRuns, whose dedup keys configs by options hash, so two configs
+// that share a display name but not their options own a unit per fold each.
+func TestServeShardedSweepKeysByOptions(t *testing.T) {
+	s := newTestServer(t, Options{Pool: 1, CheckpointDir: t.TempDir()})
+	spec := sweepSpec(1, 1)
+	spec.Configs = []ConfigSpec{{Preset: "ML-9"}, {Preset: "ML-9", NumTrees: 1}}
+	got := runSweepJob(t, s, spec)
+	const want = 2 * 5 // 2 configs × 5 standard designs
+	if got.Units == nil || got.Units.Owned != want {
+		t.Fatalf("sharded sweep units %+v, want %d owned", got.Units, want)
+	}
+}
+
 // runSweepJob submits spec, waits for it, and returns its sweep result.
 func runSweepJob(t *testing.T, s *Server, spec JobSpec) *SweepResult {
 	t.Helper()

@@ -138,7 +138,7 @@ func (cs ConfigSpec) Resolve() (attack.Config, error) {
 		}
 		cfg = c
 	case cs.Name != "":
-		cfg = attack.Config{Name: cs.Name}
+		cfg = attack.Config{Options: attack.Options{Name: cs.Name}}
 	default:
 		return cfg, errors.New("config needs a preset or a name")
 	}

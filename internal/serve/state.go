@@ -42,6 +42,8 @@ func (s *Server) saveJob(job *Job) {
 	if s.opts.StateDir == "" {
 		return
 	}
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
 	s.mu.Lock()
 	rec := record{
 		ID:        job.ID,
